@@ -16,6 +16,17 @@ namespace {
 
 using internal::status_from_current_exception;
 
+/// Same bound as ConflictProfile's dense table — rejecting here stops a
+/// 2^n counter allocation from being attempted inside a job first.
+Status check_hashed_bits(int hashed_bits) {
+  if (hashed_bits < 1 || hashed_bits > 24)
+    return Status(StatusCode::invalid_argument,
+                  "hashed_bits must be in [1, 24], got " +
+                      std::to_string(hashed_bits) +
+                      " (the conflict profile holds 2^n counters)");
+  return {};
+}
+
 }  // namespace
 
 Result<cache::CacheGeometry> GeometrySpec::validate() const {
@@ -46,13 +57,7 @@ Result<internal::LoweredRequest> internal::validate_and_lower(
   if (request.strategies.empty())
     return Status(StatusCode::invalid_argument,
                   "exploration request names no strategies");
-  // Same bound as ConflictProfile's dense table — rejecting here stops
-  // a 2^n counter allocation from being attempted inside a job first.
-  if (request.hashed_bits < 1 || request.hashed_bits > 24)
-    return Status(StatusCode::invalid_argument,
-                  "hashed_bits must be in [1, 24], got " +
-                      std::to_string(request.hashed_bits) +
-                      " (the conflict profile holds 2^n counters)");
+  if (Status s = check_hashed_bits(request.hashed_bits); !s.ok()) return s;
 
   LoweredRequest lowered;
   for (const GeometrySpec& g : request.geometries) {
@@ -190,6 +195,7 @@ Result<Report> Explorer::explore(const ExplorationRequest& request) {
 
 Result<xoridx::profile::ConflictProfile> build_profile(
     const TraceRef& trace, const GeometrySpec& geometry, int hashed_bits) {
+  if (Status s = check_hashed_bits(hashed_bits); !s.ok()) return s;
   Result<cache::CacheGeometry> geom = geometry.validate();
   if (!geom.ok()) return geom.status();
   Result<std::unique_ptr<tracestore::TraceSource>> source = trace.open();
@@ -205,6 +211,7 @@ Result<xoridx::profile::ConflictProfile> build_profile(
 
 Result<TuneOutcome> tune(const TraceRef& trace, const GeometrySpec& geometry,
                          const Strategy& strategy, int hashed_bits) {
+  if (Status s = check_hashed_bits(hashed_bits); !s.ok()) return s;
   Result<cache::CacheGeometry> geom = geometry.validate();
   if (!geom.ok()) return geom.status();
   Result<engine::FunctionConfig> config = lower_strategy(strategy);

@@ -33,7 +33,10 @@ namespace xoridx::cache {
 /// Three-C miss breakdown of a direct-mapped cache run (Hill's model, as
 /// used implicitly by the paper's profiling filters): a miss is compulsory
 /// on first touch, capacity if a fully-associative LRU cache of equal size
-/// also misses, and conflict otherwise.
+/// also misses, and conflict otherwise. At reuse distance exactly equal
+/// to the capacity in blocks the fully-associative cache misses, so 3C
+/// says capacity while the conflict profiler still profiles the
+/// reference (see build_conflict_profile): re-indexing can remove it.
 struct MissBreakdown {
   std::uint64_t accesses = 0;
   std::uint64_t misses = 0;

@@ -17,6 +17,17 @@
 
 namespace xoridx::engine {
 
+namespace {
+
+/// True for payloads that read the (trace, geometry) conflict profile.
+bool reads_profile(const JobPayload& payload) {
+  if (std::holds_alternative<OptimizeIndexJob>(payload)) return true;
+  const auto* opt = std::get_if<OptimalBitSelectJob>(&payload);
+  return opt != nullptr && opt->use_estimator;
+}
+
+}  // namespace
+
 FunctionConfig FunctionConfig::baseline(std::string label) {
   return {std::move(label), EvaluateFunctionJob{}};
 }
@@ -162,6 +173,18 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
   return future.get();
 }
 
+ProfileCache::ProfilePtr Campaign::profile_of(const TraceEntry& entry,
+                                              const cache::CacheGeometry& geom) {
+  if (entry.streaming) {
+    const std::unique_ptr<tracestore::TraceSource> source =
+        Campaign::open_source(entry);
+    return profile_cache_->get_or_build(entry.id, *source, geom,
+                                        spec_.hashed_bits);
+  }
+  return profile_cache_->get_or_build(entry.id, *entry.trace, geom,
+                                      spec_.hashed_bits);
+}
+
 std::unique_ptr<tracestore::TraceSource> Campaign::open_source(
     const TraceEntry& entry) {
   if (entry.source_factory) {
@@ -195,7 +218,8 @@ std::exception_ptr Campaign::wrap_current_exception(const Job& job) const {
   }
 }
 
-JobResult Campaign::execute(const Job& job) {
+JobResult Campaign::execute(const Job& job,
+                             ProfileCache::ProfilePtr prepared) {
   const TraceEntry& entry = spec_.traces[job.trace_index];
   const cache::CacheGeometry& geom = spec_.geometries[job.geometry_index];
 
@@ -217,17 +241,13 @@ JobResult Campaign::execute(const Job& job) {
     const Job& job;
     const TraceEntry& entry;
     const cache::CacheGeometry& geom;
+    const ProfileCache::ProfilePtr& prepared;
     JobResult& out;
 
+    /// The profile prelude's result, or — when the prelude failed — an
+    /// inline retry whose error this cell reports.
     [[nodiscard]] ProfileCache::ProfilePtr profile() const {
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        return self.profile_cache_->get_or_build(entry.id, *source, geom,
-                                                 self.spec_.hashed_bits);
-      }
-      return self.profile_cache_->get_or_build(entry.id, *entry.trace, geom,
-                                               self.spec_.hashed_bits);
+      return prepared ? prepared : self.profile_of(entry, geom);
     }
 
     void operator()(const EvaluateFunctionJob& j) const {
@@ -356,7 +376,8 @@ JobResult Campaign::execute(const Job& job) {
       out.function_description = "conventional";
     }
   };
-  std::visit(Visitor{*this, job, entry, geom, result}, job.payload);
+  std::visit(Visitor{*this, job, entry, geom, prepared, result},
+             job.payload);
   XORIDX_OBS_COUNT("engine.jobs_completed", 1);
   return result;
 }
@@ -408,23 +429,39 @@ std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
     emit_prefix_locked();
   };
 
-  // One graph node per cell, plus one prelude node per (trace, geometry)
-  // group whose cells read the conventional-index baseline: the shared
-  // simulation runs once, before its dependents, instead of the first
-  // cell building it while its siblings park on a future inside pool
-  // workers. Prelude failures are swallowed — the failed build is
-  // uncached, so each dependent retries inline and the error surfaces
+  // One graph node per cell, plus up to two prelude nodes per (trace,
+  // geometry) group for the shared prefixes its cells read: the
+  // conventional-index baseline, and the Figure-1 profile. Each runs
+  // once, before its dependents, instead of the first cell building it
+  // while its siblings park on a future inside pool workers. The
+  // profile prelude hands its ProfilePtr to the group's readers through
+  // a slot, so a byte-budget eviction between prelude and cells cannot
+  // force a rebuild; the last reader releases it. Prelude failures are
+  // swallowed — the failed build is uncached (and the slot stays
+  // empty), so each dependent retries inline and the error surfaces
   // attributed to a cell, exactly as the blocking path reported it.
+  struct ProfileSlot {
+    ProfileCache::ProfilePtr profile;
+    std::atomic<std::size_t> readers{0};  ///< cells yet to take it
+  };
+  bool needs_baseline = false;
+  std::size_t profile_readers = 0;  // per group
+  for (const FunctionConfig& config : spec_.configs) {
+    if (!std::holds_alternative<ClassifyMissesJob>(config.payload))
+      needs_baseline = true;
+    if (reads_profile(config.payload)) ++profile_readers;
+  }
+  std::vector<ProfileSlot> slots(spec_.traces.size() *
+                                 spec_.geometries.size());
+  for (ProfileSlot& slot : slots)
+    slot.readers.store(profile_readers, std::memory_order_relaxed);
+
   JobGraph graph;
   std::vector<JobGraph::NodeId> cell_nodes(jobs_.size());
   std::size_t flat = 0;  // (t, g)-major flat index into jobs_
   for (std::size_t t = 0; t < spec_.traces.size(); ++t) {
     for (std::size_t g = 0; g < spec_.geometries.size(); ++g) {
-      bool needs_baseline = false;
-      for (std::size_t c = 0; c < spec_.configs.size(); ++c)
-        if (!std::holds_alternative<ClassifyMissesJob>(
-                spec_.configs[c].payload))
-          needs_baseline = true;
+      ProfileSlot& slot = slots[t * spec_.geometries.size() + g];
       std::vector<JobGraph::NodeId> deps;
       if (needs_baseline) {
         deps.push_back(graph.add([this, t, g, fail_fast, &error_seen] {
@@ -437,28 +474,49 @@ std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
           }
         }));
       }
+      std::vector<JobGraph::NodeId> profile_deps = deps;
+      if (profile_readers > 0) {
+        profile_deps.push_back(
+            graph.add([this, t, g, fail_fast, &error_seen, &slot] {
+              if (fail_fast && error_seen.load(std::memory_order_relaxed))
+                return;
+              try {
+                slot.profile =
+                    profile_of(spec_.traces[t], spec_.geometries[g]);
+              } catch (...) {
+                // Dependents retry and attribute (see above).
+              }
+            }));
+      }
       for (std::size_t c = 0; c < spec_.configs.size(); ++c, ++flat) {
         const std::size_t i = flat;
-        cell_nodes[i] =
-            graph.add(
-                [this, i, fail_fast, &error_seen, &settle] {
-                  if (fail_fast &&
-                      error_seen.load(std::memory_order_relaxed)) {
-                    // Skipped: run() discards outcomes on the error
-                    // path, so the defaulted outcome is never read.
-                    settle(i, CellOutcome{});
-                    return;
-                  }
-                  CellOutcome out;
-                  try {
-                    out.result = execute(jobs_[i]);
-                  } catch (...) {
-                    out.state = CellState::failed;
-                    out.error = wrap_current_exception(jobs_[i]);
-                  }
-                  settle(i, std::move(out));
-                },
-                deps);
+        const bool reader = reads_profile(spec_.configs[c].payload);
+        cell_nodes[i] = graph.add(
+            [this, i, fail_fast, &error_seen, &settle,
+             slot = reader ? &slot : nullptr] {
+              ProfileCache::ProfilePtr prepared;
+              if (slot != nullptr) {
+                prepared = slot->profile;
+                if (slot->readers.fetch_sub(1, std::memory_order_acq_rel) ==
+                    1)
+                  slot->profile.reset();
+              }
+              if (fail_fast && error_seen.load(std::memory_order_relaxed)) {
+                // Skipped: run() discards outcomes on the error path, so
+                // the defaulted outcome is never read.
+                settle(i, CellOutcome{});
+                return;
+              }
+              CellOutcome out;
+              try {
+                out.result = execute(jobs_[i], std::move(prepared));
+              } catch (...) {
+                out.state = CellState::failed;
+                out.error = wrap_current_exception(jobs_[i]);
+              }
+              settle(i, std::move(out));
+            },
+            reader ? profile_deps : deps);
       }
     }
   }

@@ -275,7 +275,13 @@ class Campaign {
   [[nodiscard]] ProfileCache& profiles() noexcept { return *profile_cache_; }
 
  private:
-  [[nodiscard]] JobResult execute(const Job& job);
+  /// Run one cell. `prepared` is the cell's profile when the group's
+  /// profile prelude built it; null means build (or fetch) it inline.
+  [[nodiscard]] JobResult execute(const Job& job,
+                                  ProfileCache::ProfilePtr prepared);
+  /// The (trace, geometry) conflict profile through the ProfileCache.
+  [[nodiscard]] ProfileCache::ProfilePtr profile_of(
+      const TraceEntry& entry, const cache::CacheGeometry& geom);
   [[nodiscard]] cache::CacheStats baseline_stats(std::size_t trace_index,
                                                  std::size_t geometry_index);
   /// Fresh streaming source for a streaming entry (one per job pass).

@@ -1,27 +1,27 @@
 #include "profile/conflict_profile.hpp"
 
-#include <list>
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "profile/fenwick.hpp"
 #include "tracestore/trace_source.hpp"
 
 namespace xoridx::profile {
 
-ConflictProfile::ConflictProfile(int hashed_bits,
-                                 std::uint32_t capacity_blocks)
-    : n_(hashed_bits),
-      capacity_blocks_(capacity_blocks),
-      table_(std::size_t{1} << hashed_bits, 0) {
+namespace {
+
+/// 2^hashed_bits, rejecting widths outside [1, 24] before anything is
+/// allocated (wider shifts are undefined, and 2^30 counters are 8 GiB).
+std::size_t dense_table_size(int hashed_bits) {
   if (hashed_bits < 1 || hashed_bits > 24)
     throw std::invalid_argument(
-        "hashed_bits must be in [1, 24] for the dense table");
+        "hashed_bits must be in [1, 24] for the dense table, got " +
+        std::to_string(hashed_bits));
+  return std::size_t{1} << hashed_bits;
 }
-
-namespace {
 
 /// Copy the value state (table + bookkeeping) of `from` into `to`. The
 /// zeta cache is deliberately not part of the value: each object owns a
@@ -35,6 +35,12 @@ void assign_value_state(ConflictProfile& to, const ConflictProfile& from) {
 }
 
 }  // namespace
+
+ConflictProfile::ConflictProfile(int hashed_bits,
+                                 std::uint32_t capacity_blocks)
+    : n_(hashed_bits),
+      capacity_blocks_(capacity_blocks),
+      table_(dense_table_size(hashed_bits), 0) {}
 
 ConflictProfile::ConflictProfile(const ConflictProfile& other)
     : n_(other.n_),
@@ -157,71 +163,167 @@ std::size_t ConflictProfile::distinct_vectors() const {
 
 namespace {
 
-/// Figure 1 as a per-access state machine, so the in-memory and streaming
-/// overloads run the exact same sequence of steps (and therefore produce
-/// identical profiles).
-class ProfileBuildState {
+/// Open-addressing map from block address to the timestamp of its last
+/// use (linear probing over a power-of-two table, Fibonacci hashing,
+/// load factor at most 1/2). Timestamp 0 means "never used", so a lookup
+/// inserts and the caller reads the old stamp before overwriting it.
+/// The all-ones key marks an empty slot; a block with that address
+/// (1-byte blocks at UINT64_MAX) lives in a dedicated side slot.
+class LastUseMap {
  public:
-  ProfileBuildState(ConflictProfile& profile,
-                    const cache::CacheGeometry& geometry, int hashed_bits,
-                    std::uint64_t total_refs)
-      : profile_(profile),
-        mask_(gf2::mask_of(hashed_bits)),
-        shift_(geometry.offset_bits()),
-        // Figure 1: a reference whose reuse distance exceeds the cache
-        // size (in blocks) is a capacity miss and contributes no conflict
-        // vectors.
-        limit_(geometry.num_blocks()),
-        marks_(static_cast<std::size_t>(total_refs)) {}
+  LastUseMap() { rehash(10); }
 
-  void step(std::uint64_t addr) {
-    const std::uint64_t block = addr >> shift_;
-    ++profile_.references;
-    const auto it = where_.find(block);
-    if (it == where_.end()) {
-      ++profile_.compulsory_refs;
-      stack_.push_front(block);
-      where_[block] = stack_.begin();
-    } else {
-      const std::size_t prev = last_pos_[block];
-      const auto distance = static_cast<std::uint64_t>(
-          marks_.total() - marks_.prefix(prev + 1));
-      if (distance > limit_) {
-        ++profile_.capacity_filtered_refs;
-      } else {
-        ++profile_.profiled_refs;
-        // The `distance` blocks above this one on the stack are exactly
-        // the distinct blocks referenced since its previous use.
-        auto walker = stack_.begin();
-        for (std::uint64_t i = 0; i < distance; ++i, ++walker) {
-          profile_.add((block ^ *walker) & mask_);
-          ++profile_.pair_count;
+  /// The last-use stamp of `block`, inserted as 0 when absent. The
+  /// reference is valid until the next call.
+  std::uint64_t& operator[](std::uint64_t block) {
+    if (block == kEmpty) return empty_key_stamp_;
+    for (std::size_t i = home(block);; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.key == block) return s.stamp;
+      if (s.key == kEmpty) {
+        if (2 * (used_ + 1) > slots_.size()) {
+          rehash(log2_size_ + 1);
+          return (*this)[block];
         }
+        ++used_;
+        s.key = block;
+        return s.stamp;
       }
-      stack_.splice(stack_.begin(), stack_, it->second);
-      marks_.add(prev, -1);
     }
-    marks_.add(pos_, +1);
-    last_pos_[block] = pos_;
-    ++pos_;
   }
 
  private:
-  ConflictProfile& profile_;
-  const gf2::Word mask_;
-  const int shift_;
-  const std::uint64_t limit_;
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint64_t stamp = 0;
+  };
 
-  // LRU stack (front = most recently used) with an exact reuse-distance
-  // precheck: a Fenwick tree over reference timestamps counts the blocks
-  // more recent than the previous use, so deep references cost O(log N)
-  // instead of a full capacity-length walk.
-  std::list<std::uint64_t> stack_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      where_;
-  std::unordered_map<std::uint64_t, std::size_t> last_pos_;
-  Fenwick marks_;
-  std::size_t pos_ = 0;
+  [[nodiscard]] std::size_t home(std::uint64_t block) const noexcept {
+    return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ull) >>
+                                    (64 - log2_size_));
+  }
+
+  void rehash(int log2_size) {
+    std::vector<Slot> old = std::move(slots_);
+    log2_size_ = log2_size;
+    slots_.assign(std::size_t{1} << log2_size, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.key == kEmpty) continue;
+      std::size_t i = home(s.key);
+      while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t used_ = 0;
+  int log2_size_ = 0;
+  std::uint64_t empty_key_stamp_ = 0;
+};
+
+/// Figure 1 as a per-access state machine, so the in-memory and streaming
+/// overloads run the exact same sequence of steps (and therefore produce
+/// identical profiles).
+///
+/// Only the top capacity + 1 entries of the LRU stack can matter: a block
+/// deeper than that has reuse distance > capacity and is filtered. They
+/// live in a flat window ordered by last use (oldest first) holding each
+/// block's stamp and its conflict-vector bits (block & mask). A reused
+/// block whose stamp predates the window's oldest entry is therefore a
+/// capacity miss; otherwise the d entries after its position are exactly
+/// the blocks above it on the stack, scanned contiguously and shifted
+/// down one slot as the block moves to the top. Eviction advances the
+/// low index. The buffer grows on demand up to twice the window — so it
+/// tracks the distinct blocks seen, not a possibly huge capacity — and
+/// is compacted when its end is reached with at most half of it live:
+/// both cost amortised O(1) per access.
+class ProfileBuildState {
+ public:
+  ProfileBuildState(ConflictProfile& profile,
+                    const cache::CacheGeometry& geometry, int hashed_bits)
+      : profile_(profile),
+        mask_(static_cast<std::uint32_t>(gf2::mask_of(hashed_bits))),
+        shift_(geometry.offset_bits()),
+        window_(std::size_t{geometry.num_blocks()} + 1),
+        stamps_(std::min<std::size_t>(2 * window_, 1024)),
+        keys_(stamps_.size()) {}
+
+  void step(std::uint64_t addr) {
+    const std::uint64_t block = addr >> shift_;
+    const auto key = static_cast<std::uint32_t>(block) & mask_;
+    ++profile_.references;
+    std::uint64_t& last = last_use_[block];
+    const std::uint64_t prev = last;
+    last = ++clock_;
+    if (prev == 0) {
+      ++profile_.compulsory_refs;
+      push(key);
+      return;
+    }
+    if (prev < stamps_[lo_]) {
+      // Figure 1: a reference whose reuse distance exceeds the cache
+      // size (in blocks) is a capacity miss and contributes no conflict
+      // vectors.
+      ++profile_.capacity_filtered_refs;
+      push(key);
+      return;
+    }
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(stamps_.data() + lo_, stamps_.data() + hi_, prev) -
+        stamps_.data());
+    const std::size_t distance = hi_ - 1 - pos;
+    ++profile_.profiled_refs;
+    profile_.pair_count += distance;
+    for (std::size_t i = pos + 1; i < hi_; ++i)
+      profile_.add(key ^ keys_[i]);
+    std::memmove(stamps_.data() + pos, stamps_.data() + pos + 1,
+                 distance * sizeof(stamps_[0]));
+    std::memmove(keys_.data() + pos, keys_.data() + pos + 1,
+                 distance * sizeof(keys_[0]));
+    stamps_[hi_ - 1] = clock_;
+    keys_[hi_ - 1] = key;
+  }
+
+ private:
+  /// Append the just-referenced block as the newest window entry,
+  /// evicting the oldest once the window holds capacity + 1 blocks.
+  void push(std::uint32_t key) {
+    if (hi_ == stamps_.size()) {
+      const std::size_t live = hi_ - lo_;
+      if (2 * live > stamps_.size()) {
+        // Never at full size: the window is at most half of it.
+        const std::size_t grown = std::min(2 * stamps_.size(), 2 * window_);
+        stamps_.resize(grown);
+        keys_.resize(grown);
+      } else {
+        std::memmove(stamps_.data(), stamps_.data() + lo_,
+                     live * sizeof(stamps_[0]));
+        std::memmove(keys_.data(), keys_.data() + lo_,
+                     live * sizeof(keys_[0]));
+        lo_ = 0;
+        hi_ = live;
+      }
+    }
+    stamps_[hi_] = clock_;
+    keys_[hi_] = key;
+    ++hi_;
+    if (hi_ - lo_ > window_) ++lo_;
+  }
+
+  ConflictProfile& profile_;
+  const std::uint32_t mask_;  // hashed_bits <= 24
+  const int shift_;
+  const std::size_t window_;  // capacity in blocks + 1
+
+  LastUseMap last_use_;
+  std::uint64_t clock_ = 0;  // stamp of the latest reference; 0 = never
+  std::vector<std::uint64_t> stamps_;  // window stamps, ascending
+  std::vector<std::uint32_t> keys_;    // block & mask, parallel to stamps_
+  std::size_t lo_ = 0;  // window = [lo_, hi_)
+  std::size_t hi_ = 0;
 };
 
 }  // namespace
@@ -230,7 +332,7 @@ ConflictProfile build_conflict_profile(const trace::Trace& t,
                                        const cache::CacheGeometry& geometry,
                                        int hashed_bits) {
   ConflictProfile profile(hashed_bits, geometry.num_blocks());
-  ProfileBuildState state(profile, geometry, hashed_bits, t.size());
+  ProfileBuildState state(profile, geometry, hashed_bits);
   for (const trace::Access& a : t) state.step(a.addr);
   return profile;
 }
@@ -240,7 +342,7 @@ ConflictProfile build_conflict_profile(tracestore::TraceSource& source,
                                        int hashed_bits) {
   ConflictProfile profile(hashed_bits, geometry.num_blocks());
   source.reset();
-  ProfileBuildState state(profile, geometry, hashed_bits, source.size());
+  ProfileBuildState state(profile, geometry, hashed_bits);
   tracestore::for_each_access(
       source, [&state](const trace::Access& a) { state.step(a.addr); });
   return profile;

@@ -30,6 +30,8 @@ namespace xoridx::profile {
 class ConflictProfile {
  public:
   /// `hashed_bits` is the paper's n; the dense table holds 2^n counters.
+  /// Throws std::invalid_argument, before allocating, unless n is in
+  /// [1, 24].
   explicit ConflictProfile(int hashed_bits, std::uint32_t capacity_blocks);
 
   // Copies get a fresh (empty) subset-sum cache; a move hands the cache
@@ -131,15 +133,23 @@ class ConflictProfile {
 /// whose reuse distance exceeds the cache capacity, and accumulate
 /// conflict vectors for the rest. Addresses are converted to block
 /// addresses with geometry.offset_bits().
+///
+/// Only reuse distance > capacity is filtered: a reference at distance
+/// exactly equal to the capacity is profiled (`A B C A` on a 2-block
+/// cache counts 2 pairs), although 3C classification and
+/// fully-associative simulation call it a capacity miss. Re-indexing can
+/// still turn such a reference into a hit (B and C may share the other
+/// set), so it is a conflict the search can remove.
 [[nodiscard]] ConflictProfile build_conflict_profile(
     const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 /// Streaming variant: a single pass pulled from a TraceSource (the source
 /// is reset first), byte-identical to the in-memory overload. Decoded
-/// trace state stays bounded by the source's batch/chunk size; only the
-/// profiling structures themselves (LRU stack, Fenwick tree) scale with
-/// the trace.
+/// trace state stays bounded by the source's batch/chunk size. The
+/// profiling state is a recency window of at most capacity + 1 blocks
+/// plus one last-use stamp per distinct block; nothing grows with trace
+/// length.
 [[nodiscard]] ConflictProfile build_conflict_profile(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
     int hashed_bits);

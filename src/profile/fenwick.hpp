@@ -1,7 +1,8 @@
 // Fenwick (binary indexed) tree over reference timestamps, used to count
 // "most recent use" markers for O(log N) exact reuse distances
-// (Bennett–Kruskal). Shared by the reuse-distance histogram and the
-// conflict profiler's capacity precheck.
+// (Bennett–Kruskal). Only the reuse-distance histogram uses it: the
+// conflict profiler needs distances only up to the cache capacity and
+// reads them from its bounded recency window instead.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,9 @@
 // the blocks above it on an LRU stack. The stack is a doubly-linked list
 // with a hash index so that moves to the top are O(1) and the walk is cut
 // off after `limit` entries (anything deeper is a capacity miss and not
-// profiled).
+// profiled). The production profiler (conflict_profile.cpp) keeps only a
+// flat window of the top limit + 1 entries; this direct stack is the
+// reference it is tested against.
 #pragma once
 
 #include <cstdint>

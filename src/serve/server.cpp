@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -211,6 +212,24 @@ api::Status Server::bind() {
   return {};
 }
 
+void configure_client_socket(int fd, const ServerOptions& options) {
+  // Every reply is a burst of small frames (accepted, cell..., done)
+  // written one send() each; with Nagle on, each frame after the first
+  // waits for the client's delayed ACK (~40 ms on Linux).
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (options.send_timeout_s > 0.0) {
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(options.send_timeout_s);
+    timeout.tv_usec = static_cast<suseconds_t>(
+        (options.send_timeout_s - std::floor(options.send_timeout_s)) * 1e6);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  }
+  if (options.send_buffer_bytes > 0)
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options.send_buffer_bytes,
+                 sizeof(options.send_buffer_bytes));
+}
+
 void Server::request_stop() noexcept {
   stop_requested_.store(true, std::memory_order_release);
   if (wake_pipe_[1] >= 0) {
@@ -233,19 +252,7 @@ void Server::serve() {
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     XORIDX_OBS_COUNT("serve.connections", 1);
-    if (options_.send_timeout_s > 0.0) {
-      timeval timeout{};
-      timeout.tv_sec = static_cast<time_t>(options_.send_timeout_s);
-      timeout.tv_usec = static_cast<suseconds_t>(
-          (options_.send_timeout_s - std::floor(options_.send_timeout_s)) *
-          1e6);
-      ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout,
-                   sizeof(timeout));
-    }
-    if (options_.send_buffer_bytes > 0)
-      ::setsockopt(client, SOL_SOCKET, SO_SNDBUF,
-                   &options_.send_buffer_bytes,
-                   sizeof(options_.send_buffer_bytes));
+    configure_client_socket(client, options_);
     auto conn = std::make_shared<Connection>(client);
     // The hangup path runs on whichever driver thread hit the timeout;
     // Service delivers events outside its mutex, so cancelling from an

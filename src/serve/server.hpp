@@ -52,6 +52,12 @@ struct ServerOptions {
 [[nodiscard]] api::Result<std::pair<std::string, std::uint16_t>>
 parse_listen_address(const std::string& listen);
 
+/// Per-connection socket options for an accepted client: TCP_NODELAY
+/// (each event frame goes out when written, not after the peer's
+/// delayed ACK), plus the options' send timeout and buffer size. Best
+/// effort: a failing setsockopt leaves that option at its default.
+void configure_client_socket(int fd, const ServerOptions& options);
+
 class Server {
  public:
   explicit Server(ServerOptions options = {});

@@ -547,6 +547,20 @@ TEST(OneShot, SimulateAndProfileWork) {
             StatusCode::invalid_argument);
 }
 
+// hashed_bits is checked before any source is opened or 2^n counters
+// are allocated: out-of-range widths (64 would be an undefined shift)
+// come back as a typed invalid_argument naming the field.
+TEST(OneShot, BuildProfileRejectsBadHashedBits) {
+  const TraceRef ref = TraceRef::memory("t", small_trace());
+  for (const int bits : {0, 25, 64}) {
+    const Result<xoridx::profile::ConflictProfile> prof =
+        build_profile(ref, GeometrySpec(1024, 4), bits);
+    ASSERT_FALSE(prof.ok()) << "hashed_bits=" << bits;
+    EXPECT_EQ(prof.status().code(), StatusCode::invalid_argument);
+    EXPECT_NE(prof.status().message().find("hashed_bits"), std::string::npos);
+  }
+}
+
 TEST(OneShot, ConvertTraceReportsSummaryAndErrors) {
   const trace::Trace t = small_trace();
   const std::string v1 = temp_path("xoridx_api_conv.v1");

@@ -186,10 +186,32 @@ TEST(Campaign, ProfileCacheSharedAcrossConfigs) {
   CampaignOptions options;
   options.num_threads = 4;
   campaign.run(options);
-  // 2 traces x 2 geometries, and 2 profile-consuming configs per cell
-  // (perm-2in, general) -> 4 builds, 4 hits.
+  // 2 traces x 2 geometries -> 4 builds. Each group's profile prelude
+  // is the only cache request; its 2 readers (perm-2in, general) take
+  // the profile from the prelude's slot, so the cache sees no hits.
   EXPECT_EQ(campaign.profiles().misses(), 4u);
-  EXPECT_EQ(campaign.profiles().hits(), 4u);
+  EXPECT_EQ(campaign.profiles().hits(), 0u);
+}
+
+// The profile prelude hands each group's profile to its cells, so even
+// a cache that retains nothing but the entry just built (1-byte budget)
+// builds every profile exactly once, and the rows match an unbudgeted
+// serial run.
+TEST(Campaign, ProfilePreludeBuildsOnceUnderTinyBudget) {
+  auto cache = std::make_shared<ProfileCache>();
+  cache->set_byte_budget(1);
+  Campaign budgeted(small_spec(), cache);
+  CampaignOptions options;
+  options.num_threads = 2;
+  const std::vector<JobResult> rows = budgeted.run(options);
+  EXPECT_EQ(cache->misses(), 4u);
+  EXPECT_EQ(cache->hits(), 0u);
+  EXPECT_GE(cache->evictions(), 3u);
+
+  Campaign reference(small_spec());
+  CampaignOptions serial;
+  serial.num_threads = 1;
+  EXPECT_EQ(rows, reference.run(serial));
 }
 
 TEST(Campaign, ResultsMatchDirectCalls) {
@@ -300,6 +322,37 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
     trace::save_trace(path, trace::stride_trace(0, 4096, 64));
   }
   std::filesystem::remove(path);
+}
+
+// A failing profile prelude (the streaming file vanished after
+// construction) is swallowed: the optimize cell retries the build
+// inline and reports the error as its own.
+TEST(Campaign, ProfilePreludeFailureNamesTheCell) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "xoridx_engine_prelude.bin")
+          .string();
+  for (const unsigned threads : {1u, 2u}) {
+    trace::save_trace(path, trace::stride_trace(0, 4096, 64));
+    SweepSpec spec;
+    spec.add_trace_file("vanishing", path, /*streaming=*/true);
+    spec.geometries = {CacheGeometry(1024, 4)};
+    spec.configs = {
+        FunctionConfig::optimize("perm", FunctionClass::permutation)};
+    Campaign campaign(std::move(spec));
+    std::filesystem::remove(path);
+
+    CampaignOptions options;
+    options.num_threads = threads;
+    try {
+      (void)campaign.run(options);
+      FAIL() << "expected CampaignError (threads=" << threads << ")";
+    } catch (const CampaignError& e) {
+      EXPECT_EQ(e.trace_name(), "vanishing");
+      EXPECT_EQ(e.geometry(), CacheGeometry(1024, 4));
+      EXPECT_EQ(e.label(), "perm");
+    }
+    EXPECT_EQ(campaign.profiles().size(), 0u);  // the failure is uncached
+  }
 }
 
 TEST(Sinks, JsonEscapesStrings) {

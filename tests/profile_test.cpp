@@ -11,6 +11,7 @@
 #include "profile/lru_stack.hpp"
 #include "profile/reuse_distance.hpp"
 #include "trace/generators.hpp"
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::profile {
 namespace {
@@ -181,8 +182,11 @@ TEST(ConflictProfile, EstimateOvercountsMultiwayConflicts) {
 }
 
 TEST(ConflictProfile, RejectsBadWidths) {
-  EXPECT_THROW(ConflictProfile(0, 256), std::invalid_argument);
-  EXPECT_THROW(ConflictProfile(30, 256), std::invalid_argument);
+  // Checked before the 2^n table is allocated: 30 would be 8 GiB of
+  // counters and 64 an undefined shift.
+  for (const int bits : {-1, 0, 25, 30, 64})
+    EXPECT_THROW(ConflictProfile(bits, 256), std::invalid_argument)
+        << "bits=" << bits;
   const ConflictProfile p(8, 256);
   EXPECT_THROW((void)p.estimate_misses(gf2::Subspace(12)),
                std::invalid_argument);
@@ -234,31 +238,133 @@ TEST(ReuseDistance, DeeperBucketCounts) {
   EXPECT_EQ(h.deeper, 100u);  // all reuses at distance 99 >= 50
 }
 
-// Differential test: the production profiler against a straightforward
-// LruStack-based implementation of Figure 1.
+// Differential oracle: Figure 1 on the LruStack, a direct linked-list
+// LRU stack. Returns the full profile state (table and bookkeeping).
+ConflictProfile naive_profile(const Trace& t,
+                              const cache::CacheGeometry& geom,
+                              int hashed_bits) {
+  ConflictProfile naive(hashed_bits, geom.num_blocks());
+  const gf2::Word mask = gf2::mask_of(hashed_bits);
+  LruStack stack;
+  for (const trace::Access& a : t) {
+    const std::uint64_t block = a.addr >> geom.offset_bits();
+    ++naive.references;
+    const auto r = stack.reference(block, geom.num_blocks());
+    if (r.first_touch) {
+      ++naive.compulsory_refs;
+    } else if (r.deep) {
+      ++naive.capacity_filtered_refs;
+    } else {
+      ++naive.profiled_refs;
+      for (std::uint64_t y : r.above) naive.add((block ^ y) & mask);
+      naive.pair_count += r.above.size();
+    }
+  }
+  return naive;
+}
+
+/// The production build must equal the oracle in full, and its
+/// streaming and in-memory overloads must agree byte for byte.
+void expect_matches_oracle(const Trace& t, const cache::CacheGeometry& geom,
+                           int hashed_bits) {
+  const ConflictProfile fast = build_conflict_profile(t, geom, hashed_bits);
+  const ConflictProfile naive = naive_profile(t, geom, hashed_bits);
+  EXPECT_EQ(fast.references, naive.references);
+  EXPECT_EQ(fast.compulsory_refs, naive.compulsory_refs);
+  EXPECT_EQ(fast.capacity_filtered_refs, naive.capacity_filtered_refs);
+  EXPECT_EQ(fast.profiled_refs, naive.profiled_refs);
+  EXPECT_EQ(fast.pair_count, naive.pair_count);
+  for (gf2::Word v = 0; v <= gf2::mask_of(hashed_bits); ++v)
+    ASSERT_EQ(fast.misses(v), naive.misses(v)) << "v=" << v;
+  EXPECT_TRUE(fast == naive);
+
+  tracestore::MemorySource source(t);
+  EXPECT_TRUE(build_conflict_profile(source, geom, hashed_bits) == fast);
+}
+
+// Differential test: the production profiler against the LruStack
+// implementation of Figure 1.
 class ProfilerDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ProfilerDifferential, MatchesNaiveImplementation) {
   const std::uint64_t seed = GetParam();
   const cache::CacheGeometry geom(1024, 4);
   const Trace t = trace::random_trace(0, 600, 4, 6000, seed);
-
-  const ConflictProfile fast = build_conflict_profile(t, geom, 12);
-
-  ConflictProfile naive(12, geom.num_blocks());
-  LruStack stack;
-  for (const trace::Access& a : t) {
-    const std::uint64_t block = a.addr >> 2;
-    const auto r = stack.reference(block, geom.num_blocks());
-    if (r.first_touch || r.deep) continue;
-    for (std::uint64_t y : r.above) naive.add((block ^ y) & 0xfff);
-  }
-  for (gf2::Word v = 0; v < 4096; ++v)
-    ASSERT_EQ(fast.misses(v), naive.misses(v)) << "v=" << v;
+  expect_matches_oracle(t, geom, 12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfilerDifferential,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// A long trace on a 4-block cache: the recency window (5 entries in a
+// 10-slot buffer) compacts thousands of times, and most references are
+// capacity-filtered.
+TEST(ProfilerEdges, TinyCacheCompactsManyTimes) {
+  const Trace t = trace::random_trace(0, 40, 16, 20000, 99);
+  expect_matches_oracle(t, cache::CacheGeometry(64, 16), 8);
+}
+
+// Capacity at or above the distinct-block count: nothing is ever
+// evicted, so no reference is capacity-filtered.
+TEST(ProfilerEdges, CapacityCoversEveryBlock) {
+  const Trace t = trace::random_trace(0, 64, 4, 5000, 7);  // <= 64 blocks
+  for (const std::uint32_t size : {256u, 4096u}) {  // 64 and 1024 blocks
+    const cache::CacheGeometry geom(size, 4);
+    expect_matches_oracle(t, geom, 10);
+    EXPECT_EQ(build_conflict_profile(t, geom, 10).capacity_filtered_refs, 0u);
+  }
+}
+
+// More distinct blocks than the recency buffer's initial 1,024 slots:
+// the buffer grows, and at 8 KB (2,048 blocks) it then reaches twice
+// the window and compacts under eviction.
+TEST(ProfilerEdges, WindowBufferGrowsWithDistinctBlocks) {
+  const Trace t = trace::random_trace(0, 3000, 4, 20000, 4);
+  for (const std::uint32_t size : {8192u, 16384u}) {
+    const cache::CacheGeometry geom(size, 4);
+    expect_matches_oracle(t, geom, 14);
+  }
+}
+
+// 1-byte blocks make block == address, so 0 and UINT64_MAX (the
+// last-use map's empty-slot key) are real blocks.
+TEST(ProfilerEdges, SentinelAndZeroAddressesAreOrdinaryBlocks) {
+  const std::uint64_t top = ~std::uint64_t{0};
+  Trace t;
+  for (int rep = 0; rep < 50; ++rep)
+    for (const std::uint64_t a : {top, std::uint64_t{0}, top - 1,
+                                  std::uint64_t{1}, top, std::uint64_t{7}})
+      t.append(a, AccessKind::read);
+  for (const std::uint32_t size : {4u, 16u}) {
+    const cache::CacheGeometry geom(size, 1);
+    expect_matches_oracle(t, geom, 8);
+  }
+  const ConflictProfile p =
+      build_conflict_profile(t, cache::CacheGeometry(16, 1), 8);
+  EXPECT_EQ(p.compulsory_refs, 5u);  // top, 0, top-1, 1, 7
+}
+
+// Reuse distance == capacity is profiled, not filtered (the documented
+// convention): A B C A on a 2-block cache counts the last A with its
+// 2 pairs, (A^B) and (A^C).
+TEST(ProfilerEdges, DistanceEqualToCapacityIsProfiled) {
+  const Trace t = block_sequence({1, 2, 4, 1});
+  const cache::CacheGeometry geom(8, 4);  // 2 blocks
+  const ConflictProfile p = build_conflict_profile(t, geom, 8);
+  EXPECT_EQ(p.compulsory_refs, 3u);
+  EXPECT_EQ(p.capacity_filtered_refs, 0u);
+  EXPECT_EQ(p.profiled_refs, 1u);
+  EXPECT_EQ(p.pair_count, 2u);
+  EXPECT_EQ(p.misses(1 ^ 2), 1u);
+  EXPECT_EQ(p.misses(1 ^ 4), 1u);
+  expect_matches_oracle(t, geom, 8);
+
+  // One more distinct block in between crosses the boundary.
+  const ConflictProfile deeper =
+      build_conflict_profile(block_sequence({1, 2, 4, 8, 1}), geom, 8);
+  EXPECT_EQ(deeper.capacity_filtered_refs, 1u);
+  EXPECT_EQ(deeper.pair_count, 0u);
+}
 
 }  // namespace
 }  // namespace xoridx::profile

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -913,6 +914,52 @@ TEST(Server, StalledClientTimesOutAndFreesTheSlot) {
 
   server.request_stop();
   serving.join();
+}
+
+// Accepted sockets get TCP_NODELAY (small event frames must not wait
+// for the peer's delayed ACK) plus the configured send timeout and
+// buffer. Checked on a plain loopback accept pair.
+TEST(Server, ConfiguresAcceptedClientSockets) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&sa),
+                   sizeof(sa)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len),
+            0);
+  TestClient client(ntohs(sa.sin_port));
+  ASSERT_TRUE(client.connected());
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+
+  serve::ServerOptions options;
+  options.send_timeout_s = 1.5;
+  options.send_buffer_bytes = 8192;
+  serve::configure_client_socket(accepted, options);
+
+  int nodelay = 0;
+  len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  timeval timeout{};
+  len = sizeof(timeout);
+  ASSERT_EQ(
+      ::getsockopt(accepted, SOL_SOCKET, SO_SNDTIMEO, &timeout, &len), 0);
+  EXPECT_EQ(timeout.tv_sec, 1);
+  EXPECT_EQ(timeout.tv_usec, 500000);
+  int sndbuf = 0;
+  len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(accepted, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  EXPECT_GE(sndbuf, 8192);  // Linux reports the doubled value
+
+  ::close(accepted);
+  ::close(listener);
 }
 
 // ---------------------------------------------- graceful-shutdown death

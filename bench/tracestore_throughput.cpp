@@ -7,8 +7,10 @@
 //             MmapTraceReader batch by batch (O(chunk) resident)
 //   profile   Figure-1 ConflictProfile build from the in-memory trace vs
 //             a single streamed pass from the v2 reader
-// and fails (exit 1) unless the streamed profile and simulation results
-// are identical to the in-memory ones — the same guarantee the
+//   simulate  direct-mapped, fully-associative and 3C passes, in memory
+//             and streamed, in ns per access
+// and fails (exit 1) unless the streamed profile and every simulation
+// result are identical to the in-memory ones — the same guarantee the
 // tracestore tests assert, checked here on bench-scale inputs.
 //
 //   tracestore_throughput [--accesses N] [--chunk N] [--cache BYTES]
@@ -19,6 +21,7 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -149,15 +152,39 @@ int main(int argc, char** argv) {
   }
   const hash::XorFunction conv = hash::XorFunction::conventional(
       bench::paper_hashed_bits, geom.index_bits());
-  const cache::CacheStats mem_sim =
-      cache::simulate_direct_mapped(eager, geom, conv);
-  const cache::CacheStats str_sim =
-      cache::simulate_direct_mapped(profile_reader, geom, conv);
-  if (mem_sim.misses != str_sim.misses ||
-      mem_sim.accesses != str_sim.accesses) {
-    std::fprintf(stderr, "FAIL: streamed simulation differs from in-memory\n");
-    ok = false;
-  }
+  // Each simulator once in memory and once streamed from the v2 reader:
+  // the results must match, and the timings give ns per access.
+  const auto per_access_ns = [&](double s) {
+    return s * 1e9 / static_cast<double>(accesses);
+  };
+  const auto simulate_both = [&](const char* name, auto&& run) {
+    start = Clock::now();
+    const auto mem = run(eager);
+    const double mem_s = seconds_since(start);
+    start = Clock::now();
+    const auto str = run(profile_reader);
+    const double str_s = seconds_since(start);
+    std::printf("%-11s in-memory %7.1f ns/access, v2 streamed %7.1f "
+                "ns/access\n",
+                name, per_access_ns(mem_s), per_access_ns(str_s));
+    if (!(mem == str)) {
+      std::fprintf(stderr, "FAIL: streamed %s differs from in-memory\n",
+                   name);
+      ok = false;
+    }
+  };
+  const auto as_pair = [](const cache::CacheStats& s) {
+    return std::pair{s.accesses, s.misses};
+  };
+  simulate_both("dm", [&](auto& input) {
+    return as_pair(cache::simulate_direct_mapped(input, geom, conv));
+  });
+  simulate_both("fa", [&](auto& input) {
+    return as_pair(cache::simulate_fully_associative(input, geom));
+  });
+  simulate_both("3c", [&](auto& input) {
+    return cache::classify_misses(input, geom, conv);
+  });
   if (drain_reader.peak_decoded_accesses() > 2ull * chunk) {
     std::fprintf(stderr, "FAIL: decoded buffers exceeded the double-buffer "
                          "bound\n");

@@ -1,118 +1,131 @@
 #include "cache/simulate.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "cache/direct_mapped.hpp"
 #include "cache/fully_associative.hpp"
+#include "obs/metrics.hpp"
 #include "tracestore/trace_source.hpp"
 
 namespace xoridx::cache {
 
+namespace {
+
+// One loop per driver, shared by the in-memory, block-sequence and
+// streaming inputs, so every overload runs the same per-access steps.
+
+template <typename Visit>
+void for_each_block(const trace::Trace& t, int shift, Visit&& visit) {
+  for (const trace::Access& a : t) visit(a.addr >> shift);
+}
+
+template <typename Visit>
+void for_each_block(std::span<const std::uint64_t> blocks, int /*shift*/,
+                    Visit&& visit) {
+  for (const std::uint64_t b : blocks) visit(b);
+}
+
+template <typename Visit>
+void for_each_block(tracestore::TraceSource& source, int shift,
+                    Visit&& visit) {
+  source.reset();
+  tracestore::for_each_access(
+      source, [&](const trace::Access& a) { visit(a.addr >> shift); });
+}
+
+// Each driver call records one `cache.<stage>_ns` sample and adds its
+// accesses to `cache.accesses_simulated` — per call, never per access.
+
+template <typename Input>
+CacheStats direct_mapped(Input&& input, const CacheGeometry& geometry,
+                         const hash::IndexFunction& index_fn) {
+  [[maybe_unused]] const std::uint64_t start = obs::now_ns();
+  DirectMappedCache cache(geometry, index_fn);
+  for_each_block(input, geometry.offset_bits(),
+                 [&cache](std::uint64_t block) { cache.access(block); });
+  XORIDX_OBS_HIST("cache.dm_ns", obs::now_ns() - start);
+  XORIDX_OBS_COUNT("cache.accesses_simulated", cache.stats().accesses);
+  return cache.stats();
+}
+
+template <typename Input>
+CacheStats fully_associative(Input&& input, const CacheGeometry& geometry) {
+  [[maybe_unused]] const std::uint64_t start = obs::now_ns();
+  FullyAssociativeCache cache(geometry.num_blocks());
+  for_each_block(input, geometry.offset_bits(),
+                 [&cache](std::uint64_t block) { cache.access(block); });
+  XORIDX_OBS_HIST("cache.fa_ns", obs::now_ns() - start);
+  XORIDX_OBS_COUNT("cache.accesses_simulated", cache.stats().accesses);
+  return cache.stats();
+}
+
+/// One compiled direct-mapped lookup and one fully-associative map probe
+/// per access. The FA probe also says whether the block was ever seen
+/// (stamp 0), the same first-touch test the conflict profiler uses for
+/// compulsory_refs.
+template <typename Input>
+MissBreakdown classify(Input&& input, const CacheGeometry& geometry,
+                       const hash::IndexFunction& index_fn) {
+  [[maybe_unused]] const std::uint64_t start = obs::now_ns();
+  DirectMappedCache dm(geometry, index_fn);
+  FullyAssociativeCache fa(geometry.num_blocks());
+  MissBreakdown out;
+  for_each_block(input, geometry.offset_bits(), [&](std::uint64_t block) {
+    ++out.accesses;
+    const bool dm_hit = dm.access(block);
+    const FullyAssociativeCache::Outcome fa_outcome = fa.reference(block);
+    if (dm_hit) return;
+    ++out.misses;
+    if (fa_outcome == FullyAssociativeCache::Outcome::first_touch)
+      ++out.compulsory;
+    else if (fa_outcome == FullyAssociativeCache::Outcome::miss)
+      ++out.capacity;
+    else
+      ++out.conflict;
+  });
+  XORIDX_OBS_HIST("cache.classify_ns", obs::now_ns() - start);
+  XORIDX_OBS_COUNT("cache.accesses_simulated", out.accesses);
+  return out;
+}
+
+}  // namespace
+
 CacheStats simulate_direct_mapped(const trace::Trace& t,
                                   const CacheGeometry& geometry,
                                   const hash::IndexFunction& index_fn) {
-  DirectMappedCache cache(geometry, index_fn);
-  const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) cache.access(a.addr >> shift);
-  return cache.stats();
+  return direct_mapped(t, geometry, index_fn);
 }
 
 CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
                                          const CacheGeometry& geometry,
                                          const hash::IndexFunction& index_fn) {
-  DirectMappedCache cache(geometry, index_fn);
-  for (std::uint64_t b : blocks) cache.access(b);
-  return cache.stats();
+  return direct_mapped(blocks, geometry, index_fn);
 }
 
 CacheStats simulate_fully_associative(const trace::Trace& t,
                                       const CacheGeometry& geometry) {
-  FullyAssociativeCache cache(geometry.num_blocks());
-  const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) cache.access(a.addr >> shift);
-  return cache.stats();
+  return fully_associative(t, geometry);
 }
 
 MissBreakdown classify_misses(const trace::Trace& t,
                               const CacheGeometry& geometry,
                               const hash::IndexFunction& index_fn) {
-  DirectMappedCache dm(geometry, index_fn);
-  FullyAssociativeCache fa(geometry.num_blocks());
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(t.size());  // distinct blocks <= references
-  MissBreakdown out;
-  const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) {
-    const std::uint64_t block = a.addr >> shift;
-    ++out.accesses;
-    const bool dm_hit = dm.access(block);
-    const bool fa_hit = fa.access(block);
-    const bool first_touch = seen.insert(block).second;
-    if (dm_hit) continue;
-    ++out.misses;
-    if (first_touch)
-      ++out.compulsory;
-    else if (!fa_hit)
-      ++out.capacity;
-    else
-      ++out.conflict;
-  }
-  return out;
+  return classify(t, geometry, index_fn);
 }
 
 CacheStats simulate_direct_mapped(tracestore::TraceSource& source,
                                   const CacheGeometry& geometry,
                                   const hash::IndexFunction& index_fn) {
-  source.reset();
-  DirectMappedCache cache(geometry, index_fn);
-  const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    cache.access(a.addr >> shift);
-  });
-  return cache.stats();
+  return direct_mapped(source, geometry, index_fn);
 }
 
 CacheStats simulate_fully_associative(tracestore::TraceSource& source,
                                       const CacheGeometry& geometry) {
-  source.reset();
-  FullyAssociativeCache cache(geometry.num_blocks());
-  const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    cache.access(a.addr >> shift);
-  });
-  return cache.stats();
+  return fully_associative(source, geometry);
 }
 
 MissBreakdown classify_misses(tracestore::TraceSource& source,
                               const CacheGeometry& geometry,
                               const hash::IndexFunction& index_fn) {
-  source.reset();
-  DirectMappedCache dm(geometry, index_fn);
-  FullyAssociativeCache fa(geometry.num_blocks());
-  std::unordered_set<std::uint64_t> seen;
-  // Distinct blocks <= references, but for huge streamed traces cap the
-  // upfront bucket reservation; the set still grows to the footprint.
-  seen.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(source.size(), std::uint64_t{1} << 22)));
-  MissBreakdown out;
-  const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    const std::uint64_t block = a.addr >> shift;
-    ++out.accesses;
-    const bool dm_hit = dm.access(block);
-    const bool fa_hit = fa.access(block);
-    const bool first_touch = seen.insert(block).second;
-    if (dm_hit) return;
-    ++out.misses;
-    if (first_touch)
-      ++out.compulsory;
-    else if (!fa_hit)
-      ++out.capacity;
-    else
-      ++out.conflict;
-  });
-  return out;
+  return classify(source, geometry, index_fn);
 }
 
 }  // namespace xoridx::cache

@@ -1,4 +1,8 @@
 // Trace-driven simulation drivers and 3C miss classification.
+//
+// Each driver call records one `cache.dm_ns`, `cache.fa_ns` or
+// `cache.classify_ns` histogram sample and adds the accesses it simulated
+// to the `cache.accesses_simulated` counter (per call, not per access).
 #pragma once
 
 #include <cstdint>
@@ -20,8 +24,7 @@ namespace xoridx::cache {
     const trace::Trace& t, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
 
-/// Same, over a pre-extracted block-address sequence (fast path for the
-/// exhaustive bit-selecting search).
+/// Same, over a pre-extracted block-address sequence.
 [[nodiscard]] CacheStats simulate_direct_mapped_blocks(
     std::span<const std::uint64_t> blocks, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
@@ -37,6 +40,8 @@ namespace xoridx::cache {
 /// to the capacity in blocks the fully-associative cache misses, so 3C
 /// says capacity while the conflict profiler still profiles the
 /// reference (see build_conflict_profile): re-indexing can remove it.
+/// First touch is the profiler's test too, so `compulsory` equals the
+/// profile's compulsory_refs on the same trace and geometry.
 struct MissBreakdown {
   std::uint64_t accesses = 0;
   std::uint64_t misses = 0;

@@ -5,6 +5,13 @@
 // paper's N - n high-order bits) never affect the index and are folded
 // into the tag. Implementations must keep (tag, index) jointly injective
 // on block addresses so that cache lookups remain sound (Section 4).
+//
+// index() must also be GF(2)-linear on the n hashed bits: index(a ^ b) ==
+// index(a) ^ index(b), index(0) == 0, and bits at and above n are
+// ignored. Every class of the paper is linear (bit selection,
+// permutation-based and general XOR functions are all s = a H), and
+// cache::CompiledIndex relies on it: it rebuilds the whole function from
+// the n images index(1 << i).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +35,8 @@ class IndexFunction {
   [[nodiscard]] virtual int index_bits() const noexcept = 0;
 
   /// Set index of a block address (block address = byte address divided by
-  /// the block size; the caller performs that shift).
+  /// the block size; the caller performs that shift). GF(2)-linear in
+  /// the low n bits of `block_addr` (see the file comment).
   [[nodiscard]] virtual Word index(Word block_addr) const = 0;
 
   /// Tag of a block address. Together with index() this must be injective.

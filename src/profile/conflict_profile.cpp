@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cache/last_use_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "tracestore/trace_source.hpp"
@@ -163,67 +164,6 @@ std::size_t ConflictProfile::distinct_vectors() const {
 
 namespace {
 
-/// Open-addressing map from block address to the timestamp of its last
-/// use (linear probing over a power-of-two table, Fibonacci hashing,
-/// load factor at most 1/2). Timestamp 0 means "never used", so a lookup
-/// inserts and the caller reads the old stamp before overwriting it.
-/// The all-ones key marks an empty slot; a block with that address
-/// (1-byte blocks at UINT64_MAX) lives in a dedicated side slot.
-class LastUseMap {
- public:
-  LastUseMap() { rehash(10); }
-
-  /// The last-use stamp of `block`, inserted as 0 when absent. The
-  /// reference is valid until the next call.
-  std::uint64_t& operator[](std::uint64_t block) {
-    if (block == kEmpty) return empty_key_stamp_;
-    for (std::size_t i = home(block);; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (s.key == block) return s.stamp;
-      if (s.key == kEmpty) {
-        if (2 * (used_ + 1) > slots_.size()) {
-          rehash(log2_size_ + 1);
-          return (*this)[block];
-        }
-        ++used_;
-        s.key = block;
-        return s.stamp;
-      }
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  struct Slot {
-    std::uint64_t key = kEmpty;
-    std::uint64_t stamp = 0;
-  };
-
-  [[nodiscard]] std::size_t home(std::uint64_t block) const noexcept {
-    return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ull) >>
-                                    (64 - log2_size_));
-  }
-
-  void rehash(int log2_size) {
-    std::vector<Slot> old = std::move(slots_);
-    log2_size_ = log2_size;
-    slots_.assign(std::size_t{1} << log2_size, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.key == kEmpty) continue;
-      std::size_t i = home(s.key);
-      while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t used_ = 0;
-  int log2_size_ = 0;
-  std::uint64_t empty_key_stamp_ = 0;
-};
-
 /// Figure 1 as a per-access state machine, so the in-memory and streaming
 /// overloads run the exact same sequence of steps (and therefore produce
 /// identical profiles).
@@ -318,7 +258,7 @@ class ProfileBuildState {
   const int shift_;
   const std::size_t window_;  // capacity in blocks + 1
 
-  LastUseMap last_use_;
+  cache::LastUseMap last_use_;
   std::uint64_t clock_ = 0;  // stamp of the latest reference; 0 = never
   std::vector<std::uint64_t> stamps_;  // window stamps, ascending
   std::vector<std::uint32_t> keys_;    // block & mask, parallel to stamps_

@@ -2,7 +2,11 @@
 // associative, skewed, and the 3C classification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <random>
+#include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/direct_mapped.hpp"
@@ -11,8 +15,10 @@
 #include "cache/set_associative.hpp"
 #include "cache/simulate.hpp"
 #include "cache/skewed.hpp"
+#include "hash/bit_select_function.hpp"
 #include "hash/permutation_function.hpp"
 #include "hash/xor_function.hpp"
+#include "profile/lru_stack.hpp"
 #include "trace/generators.hpp"
 
 namespace xoridx::cache {
@@ -105,6 +111,64 @@ TEST(DirectMapped, HashedIndexEquivalentToFullBlockTags) {
   EXPECT_EQ(cache.stats().misses, ref_misses);
 }
 
+TEST(DirectMapped, HighBitsBeyondHashedBitsStillConflict) {
+  // Lines compare whole block addresses, not tags: two blocks that agree
+  // on the n = 16 hashed bits share a set under every index function,
+  // and must still evict each other because their tags differ.
+  std::mt19937_64 rng(5);
+  const XorFunction hashed(gf2::Matrix::random_full_rank(16, 8, rng));
+  const XorFunction modulo = XorFunction::conventional(16, 8);
+  for (const XorFunction* f : {&hashed, &modulo}) {
+    DirectMappedCache cache(CacheGeometry(1024, 4), *f);
+    const std::uint64_t low = 0x1234;
+    const std::uint64_t high = low | (std::uint64_t{0x5} << 16);
+    ASSERT_EQ(f->index(low), f->index(high));
+    ASSERT_NE(f->tag(low), f->tag(high));
+    EXPECT_FALSE(cache.access(low));
+    EXPECT_FALSE(cache.access(high));
+    EXPECT_FALSE(cache.access(low));
+    EXPECT_TRUE(cache.access(low));
+    EXPECT_EQ(cache.stats().misses, 3u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compiled index: byte tables built from the unit-vector images
+// ---------------------------------------------------------------------------
+
+class CompiledIndexSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompiledIndexSweep, EqualsIndexFunctionOnEveryClass) {
+  const int n = GetParam();
+  std::mt19937_64 rng(static_cast<unsigned>(n));
+  for (const int m : {1, (n + 1) / 2, n}) {
+    const XorFunction xor_fn(gf2::Matrix::random_full_rank(n, m, rng));
+    std::vector<int> positions(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) positions[static_cast<std::size_t>(i)] = i;
+    std::shuffle(positions.begin(), positions.end(), rng);
+    positions.resize(static_cast<std::size_t>(m));
+    const hash::BitSelectFunction bit_select(n, positions);
+    const hash::PermutationFunction permutation(
+        n, m, gf2::Matrix::random(n - m, m, rng));
+    for (const hash::IndexFunction* f :
+         std::initializer_list<const hash::IndexFunction*>{
+             &xor_fn, &bit_select, &permutation}) {
+      const CompiledIndex compiled(*f);
+      // Random 64-bit addresses carry bits >= n, which must not matter.
+      std::vector<std::uint64_t> addrs{0, ~std::uint64_t{0},
+                                       std::uint64_t{1} << (n - 1),
+                                       std::uint64_t{1} << n};
+      for (int i = 0; i < 2000; ++i) addrs.push_back(rng());
+      for (const std::uint64_t a : addrs)
+        ASSERT_EQ(compiled(a), f->index(a))
+            << f->describe() << " n=" << n << " m=" << m << " addr=" << a;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HashedBits, CompiledIndexSweep,
+                         ::testing::Values(1, 8, 9, 16, 24));
+
 // ---------------------------------------------------------------------------
 // Set-associative LRU
 // ---------------------------------------------------------------------------
@@ -185,6 +249,78 @@ TEST(FullyAssociative, NeverWorseThanDirectMappedOnLoops) {
     for (std::uint64_t b = 0; b < 64; ++b) cache.access(b);
   EXPECT_EQ(cache.stats().misses, 64u);  // compulsory only
 }
+
+TEST(FullyAssociative, ReferenceReportsFirstTouches) {
+  using Outcome = FullyAssociativeCache::Outcome;
+  FullyAssociativeCache cache(1);
+  EXPECT_EQ(cache.reference(7), Outcome::first_touch);
+  EXPECT_EQ(cache.reference(7), Outcome::hit);
+  EXPECT_EQ(cache.reference(8), Outcome::first_touch);
+  EXPECT_EQ(cache.reference(7), Outcome::miss);  // evicted by 8
+  cache.flush();
+  EXPECT_EQ(cache.reference(7), Outcome::miss);  // flushed, not new
+  EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+// Differential oracle: the LruStack walks a linked-list LRU stack; a
+// reference hits a capacity-C cache exactly when fewer than C blocks sit
+// above it (not `deep` at limit C - 1).
+class FullyAssociativeDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, unsigned>> {};
+
+TEST_P(FullyAssociativeDifferential, MatchesLruStackOracle) {
+  using Outcome = FullyAssociativeCache::Outcome;
+  const auto [capacity, seed] = GetParam();
+  std::mt19937_64 rng(seed * 7919 + capacity);
+  FullyAssociativeCache cache(capacity);
+  profile::LruStack oracle;
+  std::unordered_set<std::uint64_t> seen;
+  std::uint64_t oracle_misses = 0;
+  std::size_t step = 0;
+  const auto ref = [&](std::uint64_t block) {
+    const auto r = oracle.reference(block, capacity - 1);
+    const bool hit = !r.first_touch && !r.deep;
+    const Outcome expected = hit ? Outcome::hit
+                             : seen.insert(block).second ? Outcome::first_touch
+                                                         : Outcome::miss;
+    if (!hit) ++oracle_misses;
+    ASSERT_EQ(cache.reference(block), expected)
+        << "capacity=" << capacity << " step=" << step << " block=" << block;
+    ++step;
+  };
+  // Blocks 0 and UINT64_MAX (1-byte blocks at the ends of the address
+  // space; the latter is the LastUseMap's side slot) are ordinary.
+  const std::uint64_t top = ~std::uint64_t{0};
+  const auto pool_block = [&](std::uint64_t i) {
+    return i == 0 ? 0 : i == 1 ? top : 0x40000 + 64 * i;
+  };
+  const std::uint64_t c = capacity;
+  for (int round = 0; round < 2; ++round) {
+    // Fill past capacity (first touches and evictions).
+    for (std::uint64_t i = 0; i < c + 3; ++i)
+      ASSERT_NO_FATAL_FAILURE(ref(pool_block(i)));
+    // Hit-heavy: a hot set of at most 48 blocks while the oldest cached
+    // block stays cold, so head never moves and the ring must compact
+    // several times (once per ~capacity references at most).
+    const std::uint64_t hot = std::min<std::uint64_t>(c, 48);
+    for (std::uint64_t i = 0; i < 6 * std::max<std::uint64_t>(c, 256); ++i)
+      ASSERT_NO_FATAL_FAILURE(ref(pool_block(c + 3 - hot + rng() % hot)));
+    // Mixed reuse over twice the capacity: hits and capacity misses.
+    for (std::uint64_t i = 0; i < 2000; ++i)
+      ASSERT_NO_FATAL_FAILURE(ref(pool_block(rng() % (2 * c + 2))));
+    if (round == 0) {
+      cache.flush();
+      oracle = profile::LruStack();
+    }
+  }
+  EXPECT_EQ(cache.stats().misses, oracle_misses);
+  EXPECT_EQ(cache.stats().accesses, step);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, FullyAssociativeDifferential,
+    ::testing::Combine(::testing::Values(1u, 2u, 7u, 64u, 4096u),
+                       ::testing::Values(1u, 2u)));
 
 // ---------------------------------------------------------------------------
 // Skewed-associative cache

@@ -32,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "cache/simulate.hpp"
+#include "hash/xor_function.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
@@ -404,6 +406,40 @@ TEST(Instrumentation, SearchEvaluationsCounterMatchesSearchStats) {
   // SearchStats::evaluations each entry point reports — in an OBS=OFF
   // build it does not advance at all.
   EXPECT_EQ(after - before, compiled() ? stats_total : 0u);
+}
+
+TEST(Instrumentation, CacheDriversRecordOneSamplePerCall) {
+  SwitchGuard guard;
+  set_metrics_enabled(true);
+  const trace::Trace t = trace::random_trace(0, 300, 4, 5000, 23);
+  const cache::CacheGeometry geom(1024, 4);
+  const hash::XorFunction conv =
+      hash::XorFunction::conventional(16, geom.index_bits());
+  const auto samples = [](const Snapshot& snap, const std::string& name) {
+    for (const auto& [n, h] : snap.histograms)
+      if (n == name) return h.count;
+    return std::uint64_t{0};
+  };
+  const Snapshot before = registry().snapshot();
+  (void)cache::simulate_direct_mapped(t, geom, conv);
+  (void)cache::simulate_direct_mapped(t, geom, conv);
+  (void)cache::simulate_fully_associative(t, geom);
+  (void)cache::classify_misses(t, geom, conv);
+  const Snapshot after = registry().snapshot();
+  // One histogram sample per driver call, and the counter advances by
+  // the accesses simulated (four passes over the trace); nothing at all
+  // in an OBS=OFF build.
+  const std::uint64_t calls = compiled() ? 1 : 0;
+  EXPECT_EQ(samples(after, "cache.dm_ns") - samples(before, "cache.dm_ns"),
+            2 * calls);
+  EXPECT_EQ(samples(after, "cache.fa_ns") - samples(before, "cache.fa_ns"),
+            calls);
+  EXPECT_EQ(samples(after, "cache.classify_ns") -
+                samples(before, "cache.classify_ns"),
+            calls);
+  EXPECT_EQ(after.counter("cache.accesses_simulated") -
+                before.counter("cache.accesses_simulated"),
+            4 * t.size() * calls);
 }
 
 // --------------------------------------------------- progress reporter

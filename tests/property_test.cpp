@@ -3,9 +3,12 @@
 // many random instances and dimension combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "cache/simulate.hpp"
 #include "gf2/counting.hpp"
@@ -17,6 +20,7 @@
 #include "hash/permutation_function.hpp"
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
+#include "profile/reuse_distance.hpp"
 #include "search/estimator.hpp"
 #include "search/permutation_search.hpp"
 #include "trace/generators.hpp"
@@ -280,6 +284,60 @@ TEST_P(ProfileSeedSweep, SearchResultEstimateIsRealizedByTheFunction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileSeedSweep,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// ---------------------------------------------------------------------------
+// Cross-layer agreement: profiler, 3C classification and FA simulation
+// ---------------------------------------------------------------------------
+
+class CrossLayerSweep
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, unsigned>> {};
+
+TEST_P(CrossLayerSweep, ProfilerClassifierAndLruSimulatorAgree) {
+  // The Figure-1 profiler, the 3C split and the fully-associative
+  // simulator each walk the same LRU stack: they must agree on first
+  // touches and on which reuses miss at equal capacity.
+  const auto [size, seed] = GetParam();
+  const cache::CacheGeometry geom(size, 4);
+  const std::uint64_t blocks = geom.num_blocks();
+  std::mt19937_64 rng(seed * 1000003u + size);
+  // Phases over footprints below, at and beyond the capacity, some with
+  // cache-size strides so the direct-mapped cache conflicts.
+  trace::Trace t;
+  for (int phase = 0; phase < 12; ++phase) {
+    const std::uint64_t footprint = std::max<std::uint64_t>(
+        2, blocks * (1 + rng() % 6) / 4);
+    const std::uint64_t stride = rng() % 2 ? 4 : size + 4;
+    const std::uint64_t base = (rng() % 64) * 4096;
+    for (int i = 0; i < 2500; ++i)
+      t.append(base + (rng() % footprint) * stride, trace::AccessKind::read);
+  }
+  std::vector<std::unique_ptr<hash::IndexFunction>> functions;
+  functions.push_back(
+      hash::XorFunction::conventional(16, geom.index_bits()).clone());
+  functions.push_back(
+      hash::XorFunction(Matrix::random_full_rank(16, geom.index_bits(), rng))
+          .clone());
+
+  const profile::ConflictProfile profile =
+      profile::build_conflict_profile(t, geom, 16);
+  const cache::CacheStats fa = cache::simulate_fully_associative(t, geom);
+  const profile::ReuseHistogram reuse = profile::reuse_distance_histogram(
+      t, geom.offset_bits(), geom.num_blocks() + 1);
+  EXPECT_EQ(fa.misses, reuse.lru_misses(geom.num_blocks()));
+  for (const auto& f : functions) {
+    const cache::MissBreakdown b = cache::classify_misses(t, geom, *f);
+    EXPECT_EQ(profile.compulsory_refs, b.compulsory) << f->describe();
+    EXPECT_LE(b.compulsory + b.capacity, fa.misses) << f->describe();
+    EXPECT_EQ(b.compulsory + b.capacity + b.conflict, b.misses);
+    EXPECT_GT(b.capacity, 0u);
+    EXPECT_GT(b.conflict, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table2Geometries, CrossLayerSweep,
+    ::testing::Combine(::testing::Values(1024u, 4096u, 16384u),
+                       ::testing::Values(1u, 2u, 3u, 4u)));
 
 // ---------------------------------------------------------------------------
 // Counting identities

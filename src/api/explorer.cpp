@@ -94,44 +94,16 @@ Result<std::unique_ptr<engine::Campaign>> internal::build_campaign(
   spec.configs = std::move(lowered->configs);
 
   for (const TraceRef& ref : request.traces) {
+    // Resolve the content id / access count here, once (an eager file
+    // loads now), so a failing trace names itself; the campaign reuses
+    // the filled fields.
+    if (Status status = ref.validate(); !status.ok()) return status;
     engine::TraceEntry entry = ref.lower();
-    if (!entry.trace && !entry.streaming) {
-      // Eager file ref: load() both validates and attributes, so a
-      // separate header pre-check would only re-open the file.
-      Result<trace::Trace> loaded = ref.load();
-      if (!loaded.ok()) return loaded.status();
-      entry.path.clear();
-      entry.trace =
-          std::make_shared<const trace::Trace>(std::move(*loaded));
-    } else if (entry.source_factory) {
-      if (Status status = ref.validate(); !status.ok()) return status;
-      // Resolve the content id / access count here (one factory open,
-      // shared with the campaign via metadata_resolved) so a failing
-      // source names its trace.
-      try {
-        engine::resolve_source_metadata(entry);
-      } catch (...) {
-        return status_from_current_exception(StatusCode::io_error)
-            .with_trace(entry.name);
-      }
-    } else if (entry.streaming) {
-      // Streaming file ref: read the header metadata once, with
-      // attribution; the campaign reuses the filled fields instead of
-      // re-parsing the header.
-      std::error_code ec;
-      if (!std::filesystem::exists(entry.path, ec))
-        return Status(StatusCode::not_found,
-                      "trace file not found: " + entry.path)
-            .with_trace(entry.name);
-      try {
-        engine::resolve_file_metadata(entry);
-      } catch (...) {
-        return status_from_current_exception(StatusCode::io_error)
-            .with_trace(entry.name);
-      }
-    } else {
-      // In-memory ref: attachment check only.
-      if (Status status = ref.validate(); !status.ok()) return status;
+    try {
+      engine::resolve_metadata(entry);
+    } catch (...) {
+      return status_from_current_exception(StatusCode::io_error)
+          .with_trace(entry.name);
     }
     spec.traces.push_back(std::move(entry));
   }
@@ -258,6 +230,12 @@ Result<cache::MissBreakdown> simulate(const TraceRef& trace,
                                       const GeometrySpec& geometry,
                                       const hash::IndexFunction* function,
                                       int hashed_bits) {
+  // No 2^n profile is built here, so the bound is an address's width,
+  // not the dense table's [1, 24].
+  if (hashed_bits < 1 || hashed_bits > 64)
+    return Status(StatusCode::invalid_argument,
+                  "hashed_bits must be in [1, 64], got " +
+                      std::to_string(hashed_bits));
   Result<cache::CacheGeometry> geom = geometry.validate();
   if (!geom.ok()) return geom.status();
   Result<std::unique_ptr<tracestore::TraceSource>> source = trace.open();

@@ -148,7 +148,8 @@ using TuneOutcome = search::OptimizationResult;
                                        int hashed_bits = 16);
 
 /// Exact 3C-classified simulation of one function over one trace; a
-/// null `function` simulates the conventional modulo index.
+/// null `function` simulates the conventional modulo index over
+/// `hashed_bits` address bits, which must be in [1, 64].
 [[nodiscard]] Result<cache::MissBreakdown> simulate(
     const TraceRef& trace, const GeometrySpec& geometry,
     const hash::IndexFunction* function = nullptr, int hashed_bits = 16);

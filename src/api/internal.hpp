@@ -36,9 +36,9 @@ struct LoweredRequest {
 [[nodiscard]] Result<LoweredRequest> validate_and_lower(
     const ExplorationRequest& request);
 
-/// Validate the request, resolve every trace ref (eager refs load here,
-/// streaming refs resolve their metadata) and construct the campaign —
-/// the whole front half of Explorer::explore. `shared_profiles`
+/// Validate the request, lower every trace ref and resolve its metadata
+/// with attribution (an eager file loads here), and construct the
+/// campaign — the whole front half of Explorer::explore. `shared_profiles`
 /// (optional) substitutes an externally-owned ProfileCache so concurrent
 /// campaigns (the serving daemon) share profile/zeta builds. Campaign is
 /// not movable (it owns synchronization state), hence the unique_ptr.

@@ -168,26 +168,17 @@ Result<std::unique_ptr<tracestore::TraceSource>> TraceRef::open() const {
 }
 
 engine::TraceEntry TraceRef::lower() const {
-  engine::TraceEntry entry;
-  entry.name = name_;
-  entry.id = id_;
   switch (kind_) {
     case Kind::memory:
-      entry.trace = trace_;
-      break;
+      return engine::TraceEntry::memory(name_, trace_);
     case Kind::file:
-      entry.path = path_;
-      break;
     case Kind::streaming_file:
-      entry.path = path_;
-      entry.streaming = true;
-      break;
+      return engine::TraceEntry::file(name_, path_,
+                                      kind_ == Kind::streaming_file);
     case Kind::custom_source:
-      entry.streaming = true;
-      entry.source_factory = factory_;
-      break;
+      return engine::TraceEntry::source(name_, factory_, id_);
   }
-  return entry;
+  return engine::TraceEntry::source(name_, factory_, id_);  // unreachable
 }
 
 }  // namespace xoridx::api

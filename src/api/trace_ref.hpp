@@ -1,12 +1,11 @@
 // TraceRef: one value type naming a trace wherever it lives.
 //
-// The internal layers take a trace three different ways — an in-memory
-// trace::Trace, a v1/v2 file path, or a streaming tracestore::TraceSource
-// — and before the API existed every caller picked an overload pair per
-// operation. A TraceRef collapses those: callers build one ref (memory /
-// file / streaming / custom source) and every API operation accepts it,
-// lowering to the right internal overload. Refs are cheap to copy; an
-// in-memory ref shares ownership of its trace.
+// Callers build one ref (memory / file / streaming / custom source) and
+// every API operation accepts it. Internally every kind is read the same
+// way, through tracestore::TraceSources: open() yields one, and lower()
+// yields the engine's sweep entry, whose factory is the only place the
+// kind still matters. Refs are cheap to copy; an in-memory ref shares
+// ownership of its trace.
 #pragma once
 
 #include <functional>

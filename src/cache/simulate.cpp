@@ -9,13 +9,9 @@ namespace xoridx::cache {
 
 namespace {
 
-// One loop per driver, shared by the in-memory, block-sequence and
-// streaming inputs, so every overload runs the same per-access steps.
-
-template <typename Visit>
-void for_each_block(const trace::Trace& t, int shift, Visit&& visit) {
-  for (const trace::Access& a : t) visit(a.addr >> shift);
-}
+// One loop per driver over two inputs: a trace source (every trace,
+// in-memory ones included) and a pre-extracted block sequence (the
+// exhaustive bit-select search).
 
 template <typename Visit>
 void for_each_block(std::span<const std::uint64_t> blocks, int /*shift*/,
@@ -91,7 +87,8 @@ MissBreakdown classify(Input&& input, const CacheGeometry& geometry,
 CacheStats simulate_direct_mapped(const trace::Trace& t,
                                   const CacheGeometry& geometry,
                                   const hash::IndexFunction& index_fn) {
-  return direct_mapped(t, geometry, index_fn);
+  tracestore::MemorySource source(t);
+  return simulate_direct_mapped(source, geometry, index_fn);
 }
 
 CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
@@ -102,13 +99,15 @@ CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
 
 CacheStats simulate_fully_associative(const trace::Trace& t,
                                       const CacheGeometry& geometry) {
-  return fully_associative(t, geometry);
+  tracestore::MemorySource source(t);
+  return simulate_fully_associative(source, geometry);
 }
 
 MissBreakdown classify_misses(const trace::Trace& t,
                               const CacheGeometry& geometry,
                               const hash::IndexFunction& index_fn) {
-  return classify(t, geometry, index_fn);
+  tracestore::MemorySource source(t);
+  return classify_misses(source, geometry, index_fn);
 }
 
 CacheStats simulate_direct_mapped(tracestore::TraceSource& source,

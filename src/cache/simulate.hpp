@@ -1,5 +1,11 @@
 // Trace-driven simulation drivers and 3C miss classification.
 //
+// Every driver has one body, over a tracestore::TraceSource: it resets
+// the source and pulls one pass, so one source object serves several
+// passes and resident decoded state stays bounded by the source's
+// batch/chunk size. The trace::Trace overloads wrap the trace in a
+// zero-copy MemorySource and forward.
+//
 // Each driver call records one `cache.dm_ns`, `cache.fa_ns` or
 // `cache.classify_ns` histogram sample and adds the accesses it simulated
 // to the `cache.accesses_simulated` counter (per call, not per access).
@@ -19,7 +25,10 @@ class TraceSource;
 namespace xoridx::cache {
 
 /// Run a trace through a direct-mapped cache using `index_fn` and return
-/// the miss count. Convenience wrapper used everywhere in the evaluation.
+/// the miss count.
+[[nodiscard]] CacheStats simulate_direct_mapped(
+    tracestore::TraceSource& source, const CacheGeometry& geometry,
+    const hash::IndexFunction& index_fn);
 [[nodiscard]] CacheStats simulate_direct_mapped(
     const trace::Trace& t, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
@@ -30,6 +39,8 @@ namespace xoridx::cache {
     const hash::IndexFunction& index_fn);
 
 /// Fully-associative LRU miss count at equal capacity (Table 3, `FA`).
+[[nodiscard]] CacheStats simulate_fully_associative(
+    tracestore::TraceSource& source, const CacheGeometry& geometry);
 [[nodiscard]] CacheStats simulate_fully_associative(
     const trace::Trace& t, const CacheGeometry& geometry);
 
@@ -52,24 +63,11 @@ struct MissBreakdown {
   friend bool operator==(const MissBreakdown&, const MissBreakdown&) = default;
 };
 
-[[nodiscard]] MissBreakdown classify_misses(const trace::Trace& t,
-                                            const CacheGeometry& geometry,
-                                            const hash::IndexFunction& index_fn);
-
-// Streaming variants: one pass pulled from a TraceSource (each driver
-// resets the source first, so one source object serves several passes).
-// Results are identical to the in-memory overloads; resident decoded
-// state stays bounded by the source's batch/chunk size.
-
-[[nodiscard]] CacheStats simulate_direct_mapped(
-    tracestore::TraceSource& source, const CacheGeometry& geometry,
-    const hash::IndexFunction& index_fn);
-
-[[nodiscard]] CacheStats simulate_fully_associative(
-    tracestore::TraceSource& source, const CacheGeometry& geometry);
-
 [[nodiscard]] MissBreakdown classify_misses(
     tracestore::TraceSource& source, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
+[[nodiscard]] MissBreakdown classify_misses(const trace::Trace& t,
+                                            const CacheGeometry& geometry,
+                                            const hash::IndexFunction& index_fn);
 
 }  // namespace xoridx::cache

@@ -60,33 +60,82 @@ FunctionConfig FunctionConfig::classify(std::string label) {
   return {std::move(label), ClassifyMissesJob{}};
 }
 
-void resolve_file_metadata(TraceEntry& entry) {
-  // Header-level metadata only: the trace itself stays on disk.
-  const tracestore::TraceFileInfo info =
-      tracestore::trace_file_info(entry.path);
-  if (entry.id.empty()) entry.id = info.id;
-  entry.accesses = info.accesses;
-  entry.metadata_resolved = true;
+TraceEntry TraceEntry::memory(std::string name,
+                              std::shared_ptr<const trace::Trace> t) {
+  TraceEntry entry;
+  entry.open = [label = name, t = std::move(t)] {
+    if (!t)
+      throw std::invalid_argument("trace '" + label +
+                                  "' has no data attached");
+    return std::make_unique<tracestore::MemorySource>(t);
+  };
+  entry.name = std::move(name);
+  return entry;
 }
 
-void resolve_source_metadata(TraceEntry& entry) {
-  if (!entry.source_factory)
-    throw std::invalid_argument("trace '" + entry.name +
-                                "' has no source factory");
-  const std::unique_ptr<tracestore::TraceSource> source =
-      entry.source_factory();
-  if (!source)
-    throw std::runtime_error("trace '" + entry.name +
-                             "': source factory returned null");
-  entry.accesses = source->size();
-  if (entry.id.empty()) {
-    // No header to read the id from: one scan over the source.
-    tracestore::TraceIdHasher hasher;
-    tracestore::for_each_access(
-        *source, [&hasher](const trace::Access& a) { hasher.update(a); });
-    entry.id = hasher.digest();
+TraceEntry TraceEntry::file(std::string name, std::string path,
+                            bool streaming) {
+  TraceEntry entry;
+  entry.name = std::move(name);
+  if (streaming) {
+    entry.open = [path = std::move(path)] {
+      return tracestore::open_trace_source(path);
+    };
+    return entry;
   }
-  entry.metadata_resolved = true;
+  // Loaded by the first open (campaign construction resolves metadata,
+  // so that is where a load error surfaces) and shared by every copy of
+  // the entry. A failed load is retried by the next open.
+  struct Loaded {
+    std::mutex mutex;
+    std::shared_ptr<const trace::Trace> trace;
+  };
+  entry.open = [path = std::move(path), loaded = std::make_shared<Loaded>()] {
+    std::lock_guard lock(loaded->mutex);
+    if (!loaded->trace)
+      loaded->trace = std::make_shared<const trace::Trace>(
+          tracestore::load_trace_any(path));
+    return std::make_unique<tracestore::MemorySource>(loaded->trace);
+  };
+  return entry;
+}
+
+TraceEntry TraceEntry::source(std::string name, Opener factory,
+                              tracestore::TraceId id) {
+  TraceEntry entry;
+  entry.open = [label = name, factory = std::move(factory)] {
+    if (!factory)
+      throw std::invalid_argument("trace '" + label +
+                                  "' has no source factory");
+    std::unique_ptr<tracestore::TraceSource> source = factory();
+    if (!source)
+      throw std::runtime_error("trace '" + label +
+                               "': source factory returned null");
+    return source;
+  };
+  entry.name = std::move(name);
+  entry.id = id;
+  return entry;
+}
+
+void resolve_metadata(TraceEntry& entry) {
+  if (entry.accesses) return;
+  if (!entry.open)
+    throw std::invalid_argument("campaign trace '" + entry.name +
+                                "' has no source");
+  const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+  if (entry.id.empty()) {
+    if (const auto* v2 =
+            dynamic_cast<const tracestore::MmapTraceReader*>(source.get())) {
+      entry.id = v2->info().id;  // header metadata; the body stays on disk
+    } else {
+      tracestore::TraceIdHasher hasher;
+      tracestore::for_each_access(
+          *source, [&hasher](const trace::Access& a) { hasher.update(a); });
+      entry.id = hasher.digest();
+    }
+  }
+  entry.accesses = source->size();
 }
 
 Campaign::Campaign(SweepSpec spec,
@@ -94,25 +143,7 @@ Campaign::Campaign(SweepSpec spec,
     : spec_(std::move(spec)),
       profile_cache_(shared_profiles ? std::move(shared_profiles)
                                      : std::make_shared<ProfileCache>()) {
-  for (TraceEntry& entry : spec_.traces) {
-    if (!entry.trace && entry.path.empty() && !entry.source_factory)
-      throw std::invalid_argument(
-          "campaign trace '" + entry.name +
-          "' has neither data nor a file path nor a source factory");
-    if (!entry.trace && !entry.streaming && !entry.source_factory)
-      entry.trace = std::make_shared<const trace::Trace>(  // eager file
-          tracestore::load_trace_any(entry.path));
-    if (entry.source_factory) {
-      entry.streaming = true;  // factories are always streamed
-      if (!entry.metadata_resolved) resolve_source_metadata(entry);
-    } else if (entry.streaming) {
-      // Skipped when the caller (api::Explorer) already filled it.
-      if (!entry.metadata_resolved) resolve_file_metadata(entry);
-    } else {
-      if (entry.id.empty()) entry.id = tracestore::trace_id_of(*entry.trace);
-      entry.accesses = entry.trace->size();
-    }
-  }
+  for (TraceEntry& entry : spec_.traces) resolve_metadata(entry);
   for (const cache::CacheGeometry& geom : spec_.geometries)
     if (geom.index_bits() > spec_.hashed_bits)
       throw std::invalid_argument(
@@ -154,16 +185,9 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
       const cache::CacheGeometry& geom = spec_.geometries[geometry_index];
       const hash::XorFunction conventional = hash::XorFunction::conventional(
           spec_.hashed_bits, geom.index_bits());
-      cache::CacheStats stats;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        stats = cache::simulate_direct_mapped(*source, geom, conventional);
-      } else {
-        stats = cache::simulate_direct_mapped(*entry.trace, geom,
-                                              conventional);
-      }
-      promise.set_value(stats);
+      const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+      promise.set_value(
+          cache::simulate_direct_mapped(*source, geom, conventional));
     } catch (...) {
       promise.set_exception(std::current_exception());
       std::lock_guard lock(baseline_mutex_);
@@ -175,26 +199,9 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
 
 ProfileCache::ProfilePtr Campaign::profile_of(const TraceEntry& entry,
                                               const cache::CacheGeometry& geom) {
-  if (entry.streaming) {
-    const std::unique_ptr<tracestore::TraceSource> source =
-        Campaign::open_source(entry);
-    return profile_cache_->get_or_build(entry.id, *source, geom,
-                                        spec_.hashed_bits);
-  }
-  return profile_cache_->get_or_build(entry.id, *entry.trace, geom,
+  const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+  return profile_cache_->get_or_build(entry.id, *source, geom,
                                       spec_.hashed_bits);
-}
-
-std::unique_ptr<tracestore::TraceSource> Campaign::open_source(
-    const TraceEntry& entry) {
-  if (entry.source_factory) {
-    std::unique_ptr<tracestore::TraceSource> source = entry.source_factory();
-    if (!source)
-      throw std::runtime_error("trace '" + entry.name +
-                               "': source factory returned null");
-    return source;
-  }
-  return tracestore::open_trace_source(entry.path);
 }
 
 std::exception_ptr Campaign::wrap_current_exception(const Job& job) const {
@@ -233,9 +240,9 @@ JobResult Campaign::execute(const Job& job,
   result.label = job.label;
   result.kind = kind_name(job.payload);
 
-  // Every alternative below has two arms with identical results: the
-  // in-memory arm iterates entry.trace, the streaming arm pulls fresh
-  // TraceSources so decoded memory stays O(chunk) per running job.
+  // Every pass below pulls a fresh source from the entry, whatever backs
+  // the trace: decoded memory stays O(chunk) per running job for a
+  // streamed file, and an in-memory trace is read zero-copy.
   struct Visitor {
     Campaign& self;
     const Job& job;
@@ -254,36 +261,22 @@ JobResult Campaign::execute(const Job& job,
       const cache::CacheStats baseline =
           self.baseline_stats(job.trace_index, job.geometry_index);
       out.baseline_misses = baseline.misses;
-      if (j.fully_associative) {
-        cache::CacheStats stats;
-        if (entry.streaming) {
-          const std::unique_ptr<tracestore::TraceSource> source =
-              Campaign::open_source(entry);
-          stats = cache::simulate_fully_associative(*source, geom);
-        } else {
-          stats = cache::simulate_fully_associative(*entry.trace, geom);
-        }
-        out.accesses = stats.accesses;
-        out.misses = stats.misses;
-        out.function_description = "fully-associative LRU";
-        return;
-      }
-      if (!j.function) {  // conventional index: the cached baseline run
+      if (!j.fully_associative && !j.function) {
+        // Conventional index: the cached baseline run.
         out.accesses = baseline.accesses;
         out.misses = baseline.misses;
         return;
       }
-      cache::CacheStats stats;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        stats = cache::simulate_direct_mapped(*source, geom, *j.function);
-      } else {
-        stats = cache::simulate_direct_mapped(*entry.trace, geom, *j.function);
-      }
+      const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+      const cache::CacheStats stats =
+          j.fully_associative
+              ? cache::simulate_fully_associative(*source, geom)
+              : cache::simulate_direct_mapped(*source, geom, *j.function);
       out.accesses = stats.accesses;
       out.misses = stats.misses;
-      out.function_description = j.function->describe();
+      out.function_description = j.fully_associative
+                                     ? "fully-associative LRU"
+                                     : j.function->describe();
     }
 
     void operator()(const OptimizeIndexJob& j) const {
@@ -297,20 +290,12 @@ JobResult Campaign::execute(const Job& job,
       options.search.threads = j.threads;
       options.revert_if_worse = j.revert_if_worse;
       // The conventional-index run is memoized per (trace, geometry);
-      // passing it in saves every optimize job a full-trace simulation
-      // (a whole decode pass for streaming entries).
+      // passing it in saves every optimize job a full-trace pass.
       const cache::CacheStats baseline =
           self.baseline_stats(job.trace_index, job.geometry_index);
-      search::OptimizationResult r;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        r = search::optimize_index_with_profile(*source, geom, *prof,
-                                                options, &baseline);
-      } else {
-        r = search::optimize_index_with_profile(*entry.trace, geom, *prof,
-                                                options, &baseline);
-      }
+      const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+      const search::OptimizationResult r = search::optimize_index_with_profile(
+          *source, geom, *prof, options, &baseline);
       out.accesses = r.accesses;
       out.baseline_misses = r.baseline_misses;
       out.misses = r.optimized_misses;
@@ -322,38 +307,17 @@ JobResult Campaign::execute(const Job& job,
     void operator()(const OptimalBitSelectJob& j) const {
       out.baseline_misses =
           self.baseline_stats(job.trace_index, job.geometry_index).misses;
-      const search::ExhaustiveBitSelectResult r = [&] {
-        if (j.use_estimator) {
-          const ProfileCache::ProfilePtr prof = profile();
-          if (entry.streaming) {
-            const std::unique_ptr<tracestore::TraceSource> source =
-                Campaign::open_source(entry);
-            return search::optimal_bit_select_estimated(*source, geom,
-                                                        *prof);
-          }
-          return search::optimal_bit_select_estimated(*entry.trace, geom,
-                                                      *prof);
-        }
-        if (entry.streaming) {
-          // The exhaustive search re-walks the trace per candidate, so a
-          // streaming entry extracts block addresses once (O(trace)
-          // uint64s, the one documented exception to the O(chunk) bound)
-          // instead of paying C(n, m) decode passes.
-          const std::unique_ptr<tracestore::TraceSource> source =
-              Campaign::open_source(entry);
-          std::vector<std::uint64_t> blocks;
-          blocks.reserve(static_cast<std::size_t>(source->size()));
-          const int shift = geom.offset_bits();
-          tracestore::for_each_access(*source, [&](const trace::Access& a) {
-            blocks.push_back(a.addr >> shift);
-          });
-          return search::optimal_bit_select_blocks(blocks, geom,
-                                                   self.spec_.hashed_bits);
-        }
-        return search::optimal_bit_select(*entry.trace, geom,
-                                          self.spec_.hashed_bits);
-      }();
-      out.accesses = entry.accesses;
+      const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+      // The exact search extracts block addresses once (O(trace)
+      // uint64s, the one documented exception to the O(chunk) bound)
+      // instead of paying C(n, m) decode passes.
+      const search::ExhaustiveBitSelectResult r =
+          j.use_estimator
+              ? search::optimal_bit_select_estimated(*source, geom,
+                                                     *profile())
+              : search::optimal_bit_select(*source, geom,
+                                           self.spec_.hashed_bits);
+      out.accesses = *entry.accesses;
       out.misses = r.misses;
       out.function_description = r.function.describe();
     }
@@ -361,14 +325,9 @@ JobResult Campaign::execute(const Job& job,
     void operator()(const ClassifyMissesJob&) const {
       const hash::XorFunction conventional = hash::XorFunction::conventional(
           self.spec_.hashed_bits, geom.index_bits());
-      cache::MissBreakdown b;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        b = cache::classify_misses(*source, geom, conventional);
-      } else {
-        b = cache::classify_misses(*entry.trace, geom, conventional);
-      }
+      const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+      const cache::MissBreakdown b =
+          cache::classify_misses(*source, geom, conventional);
       out.accesses = b.accesses;
       out.baseline_misses = b.misses;
       out.misses = b.misses;

@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -33,26 +34,44 @@
 
 namespace xoridx::engine {
 
-/// One trace of a sweep: an in-memory Trace, a file opened through the
-/// trace store, or a caller-supplied TraceSource factory (remote chunk
-/// fetch, synthetic generators, ...). A streaming entry never
-/// materializes the trace — every job pulls its own TraceSource, keeping
-/// resident decoded memory O(chunk) per running job.
+/// One trace of a sweep: a display name, a factory of independent
+/// sources over the trace, and its resolved content id and length. What
+/// backs the trace (memory, a file loaded once, a streamed file, a
+/// caller's factory) is known only to the maker that built `open`; every
+/// consumer reads a TraceSource. Jobs pull a fresh source per pass, so a
+/// streamed trace keeps resident decoded memory O(chunk) per running job
+/// and an in-memory one is read zero-copy.
 struct TraceEntry {
+  using Opener = std::function<std::unique_ptr<tracestore::TraceSource>()>;
+
   std::string name;
-  std::shared_ptr<const trace::Trace> trace;  ///< null for streaming entries
-  std::string path;        ///< backing file; empty for in-memory entries
-  bool streaming = false;  ///< read through the trace store (mmap)
-  /// When set, streaming jobs open sources here instead of `path`. Must
-  /// be callable concurrently; each call returns an independent source.
-  std::function<std::unique_ptr<tracestore::TraceSource>()> source_factory;
-  tracestore::TraceId id;  ///< stable content id; Campaign fills it if empty
-  std::uint64_t accesses = 0;  ///< filled by Campaign
-  /// True once id/accesses are known for a streaming entry. Campaign
-  /// resolves unresolved entries at construction; callers that resolve
-  /// ahead of time (api::Explorer) set it to skip the second pass.
-  bool metadata_resolved = false;
+  /// A fresh source positioned at the first access; never null. Callable
+  /// concurrently.
+  Opener open;
+  tracestore::TraceId id;  ///< content id; a preset one is kept
+  std::optional<std::uint64_t> accesses;  ///< set by resolve_metadata
+
+  /// An in-memory trace (shared ownership).
+  [[nodiscard]] static TraceEntry memory(
+      std::string name, std::shared_ptr<const trace::Trace> t);
+  /// A v1/v2 trace file. With `streaming` every source reads the file
+  /// through the trace store chunk by chunk; otherwise the first open
+  /// loads it once and every source serves that copy.
+  [[nodiscard]] static TraceEntry file(std::string name, std::string path,
+                                       bool streaming);
+  /// A caller-supplied factory (remote chunk fetch, generators, ...);
+  /// each call must return an independent source. With an empty `id`,
+  /// resolve_metadata computes it with one scan.
+  [[nodiscard]] static TraceEntry source(std::string name, Opener factory,
+                                         tracestore::TraceId id = {});
 };
+
+/// Fill an entry's access count and, unless preset, its content id, from
+/// one open(): a v2 file's id comes from its header, any other source's
+/// from one scan. A no-op once resolved. The campaign calls it at
+/// construction; callers wanting Status-style attribution (the api
+/// facade, the shard planner) call it first and wrap what it throws.
+void resolve_metadata(TraceEntry& entry);
 
 /// One column of a sweep: a label plus the job payload run for every
 /// (trace, geometry) cell.
@@ -93,10 +112,8 @@ struct SweepSpec {
 
   /// Convenience: take ownership of a trace under a name.
   void add_trace(std::string name, trace::Trace t) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.trace = std::make_shared<const trace::Trace>(std::move(t));
-    traces.push_back(std::move(entry));
+    traces.push_back(TraceEntry::memory(
+        std::move(name), std::make_shared<const trace::Trace>(std::move(t))));
   }
 
   /// A trace file (v1 or v2). With `streaming` the campaign reads it
@@ -104,44 +121,23 @@ struct SweepSpec {
   /// eagerly at campaign construction.
   void add_trace_file(std::string name, std::string path,
                       bool streaming = false) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.path = std::move(path);
-    entry.streaming = streaming;
-    traces.push_back(std::move(entry));
+    traces.push_back(
+        TraceEntry::file(std::move(name), std::move(path), streaming));
   }
 
   /// A streaming trace behind a caller-supplied source factory. With an
   /// empty `id` the campaign computes the content id with one scan at
   /// construction.
-  void add_trace_source(
-      std::string name,
-      std::function<std::unique_ptr<tracestore::TraceSource>()> factory,
-      tracestore::TraceId id = {}) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.streaming = true;
-    entry.source_factory = std::move(factory);
-    entry.id = id;
-    traces.push_back(std::move(entry));
+  void add_trace_source(std::string name, TraceEntry::Opener factory,
+                        tracestore::TraceId id = {}) {
+    traces.push_back(
+        TraceEntry::source(std::move(name), std::move(factory), id));
   }
 
   [[nodiscard]] std::size_t job_count() const {
     return traces.size() * geometries.size() * configs.size();
   }
 };
-
-/// Fill a streaming file entry's id/accesses from its file header (one
-/// header parse; v1 files pay a content-id scan). Throws on
-/// missing/corrupt files; callers wanting Status-style attribution
-/// (api::Explorer) wrap it.
-void resolve_file_metadata(TraceEntry& entry);
-
-/// Open one source of a factory-backed entry and fill its metadata:
-/// accesses from size(), and — when `entry.id` is empty — the content
-/// id via a full scan. Throws whatever the factory or source throws;
-/// callers wanting Status-style attribution (api::Explorer) wrap it.
-void resolve_source_metadata(TraceEntry& entry);
 
 /// A job failure with the sweep cell attached: which (trace, geometry,
 /// strategy label) was executing when the underlying layer threw. The
@@ -284,9 +280,6 @@ class Campaign {
       const TraceEntry& entry, const cache::CacheGeometry& geom);
   [[nodiscard]] cache::CacheStats baseline_stats(std::size_t trace_index,
                                                  std::size_t geometry_index);
-  /// Fresh streaming source for a streaming entry (one per job pass).
-  [[nodiscard]] static std::unique_ptr<tracestore::TraceSource> open_source(
-      const TraceEntry& entry);
   /// The in-flight exception wrapped in a CampaignError naming the
   /// job's cell (CampaignErrors pass through untouched).
   [[nodiscard]] std::exception_ptr wrap_current_exception(

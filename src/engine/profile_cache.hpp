@@ -10,8 +10,9 @@
 //
 // Entries are keyed by the trace's content TraceId (tracestore/), not its
 // address: two distinct Trace objects with equal content share one entry,
-// a file-backed streaming trace shares with its in-memory copy, and
-// nothing requires the caller to keep a particular object alive.
+// a file-backed trace shares with its in-memory copy, and nothing
+// requires the caller to keep a particular object alive. Every build is
+// one pass over a TraceSource, whatever backs the trace.
 //
 // An optional byte budget (set_byte_budget) bounds resident profile
 // memory with least-recently-used eviction: when a completed build
@@ -44,25 +45,21 @@ class ProfileCache {
   using ProfilePtr = std::shared_ptr<const profile::ConflictProfile>;
 
   /// Return the profile for (trace content, geometry, hashed_bits),
-  /// building it on first request. Thread-safe; concurrent requests for
-  /// one key build exactly once. Computes the trace's content id (one
-  /// extra pass); callers that already know it should use the id-taking
-  /// overloads.
-  [[nodiscard]] ProfilePtr get_or_build(const trace::Trace& t,
+  /// building it on first request with a single pass pulled from
+  /// `source` (reset first). Thread-safe; concurrent requests for one key
+  /// build exactly once. `id` must be the source's content id.
+  [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
+                                        tracestore::TraceSource& source,
                                         const cache::CacheGeometry& geometry,
                                         int hashed_bits);
 
-  /// Same, with a precomputed content id for `t`.
+  /// In-memory forwarders: wrap `t` in a zero-copy MemorySource. The
+  /// id-less form computes the content id first (one extra pass).
   [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
                                         const trace::Trace& t,
                                         const cache::CacheGeometry& geometry,
                                         int hashed_bits);
-
-  /// Streaming build: on a miss, a single pass is pulled from `source`
-  /// (reset first); decoded trace state stays bounded by the source's
-  /// chunk size. `id` must be the source's content id.
-  [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
-                                        tracestore::TraceSource& source,
+  [[nodiscard]] ProfilePtr get_or_build(const trace::Trace& t,
                                         const cache::CacheGeometry& geometry,
                                         int hashed_bits);
 
@@ -99,8 +96,6 @@ class ProfileCache {
     std::uint64_t last_use = 0;   ///< LRU stamp from use_clock_
   };
 
-  template <typename BuildFn>
-  ProfilePtr get_or_build_impl(const Key& key, BuildFn&& build);
   /// Evict LRU ready entries (never `keep`) until the budget fits.
   /// Caller must hold mutex_.
   void evict_to_budget_locked(const Key* keep);

@@ -24,11 +24,12 @@ namespace xoridx::gf2 {
 /// Visit every m-of-n bit combination in Gosper's-hack order (ascending
 /// as integers): the enumeration the exhaustive bit-select sweep and its
 /// benchmarks share. `visit(std::uint32_t mask)`; n must be < 32 and
-/// 1 <= m <= n (asserted; degenerate widths visit nothing in release).
+/// 0 <= m <= n (asserted; other widths visit nothing in release). m = 0
+/// (a single-set cache) visits the empty selection once.
 template <typename F>
 void for_each_combination(int n, int m, F&& visit) {
-  assert(m >= 1 && m <= n);
-  if (m < 1 || m > n) return;
+  assert(m >= 0 && m <= n);
+  if (m < 0 || m > n) return;
   const std::uint32_t limit = 1u << n;
   std::uint32_t mask = (1u << m) - 1;
   while (mask < limit) {

@@ -164,9 +164,8 @@ std::size_t ConflictProfile::distinct_vectors() const {
 
 namespace {
 
-/// Figure 1 as a per-access state machine, so the in-memory and streaming
-/// overloads run the exact same sequence of steps (and therefore produce
-/// identical profiles).
+/// Figure 1 as a per-access state machine, stepped once per access of
+/// the one trace pass.
 ///
 /// Only the top capacity + 1 entries of the LRU stack can matter: a block
 /// deeper than that has reuse distance > capacity and is filtered. They
@@ -268,15 +267,6 @@ class ProfileBuildState {
 
 }  // namespace
 
-ConflictProfile build_conflict_profile(const trace::Trace& t,
-                                       const cache::CacheGeometry& geometry,
-                                       int hashed_bits) {
-  ConflictProfile profile(hashed_bits, geometry.num_blocks());
-  ProfileBuildState state(profile, geometry, hashed_bits);
-  for (const trace::Access& a : t) state.step(a.addr);
-  return profile;
-}
-
 ConflictProfile build_conflict_profile(tracestore::TraceSource& source,
                                        const cache::CacheGeometry& geometry,
                                        int hashed_bits) {
@@ -286,6 +276,13 @@ ConflictProfile build_conflict_profile(tracestore::TraceSource& source,
   tracestore::for_each_access(
       source, [&state](const trace::Access& a) { state.step(a.addr); });
   return profile;
+}
+
+ConflictProfile build_conflict_profile(const trace::Trace& t,
+                                       const cache::CacheGeometry& geometry,
+                                       int hashed_bits) {
+  tracestore::MemorySource source(t);
+  return build_conflict_profile(source, geometry, hashed_bits);
 }
 
 }  // namespace xoridx::profile

@@ -102,7 +102,7 @@ class ConflictProfile {
   std::uint64_t profiled_refs = 0;
   std::uint64_t pair_count = 0;  ///< total (x, y) pairs counted
 
-  /// Full-state equality (table and bookkeeping) — what the streaming
+  /// Full-state equality (table and bookkeeping) — what the source
   /// identity tests and benches assert.
   friend bool operator==(const ConflictProfile& a, const ConflictProfile& b) {
     return a.n_ == b.n_ && a.capacity_blocks_ == b.capacity_blocks_ &&
@@ -132,7 +132,12 @@ class ConflictProfile {
 /// Run Figure 1 over a trace: push compulsory references, skip references
 /// whose reuse distance exceeds the cache capacity, and accumulate
 /// conflict vectors for the rest. Addresses are converted to block
-/// addresses with geometry.offset_bits().
+/// addresses with geometry.offset_bits(). One pass is pulled from the
+/// source (reset first); decoded trace state stays bounded by the
+/// source's batch/chunk size. The profiling state is a recency window of
+/// at most capacity + 1 blocks plus one last-use stamp per distinct
+/// block; nothing grows with trace length. The trace::Trace overload
+/// wraps a zero-copy MemorySource and forwards.
 ///
 /// Only reuse distance > capacity is filtered: a reference at distance
 /// exactly equal to the capacity is profiled (`A B C A` on a 2-block
@@ -141,17 +146,10 @@ class ConflictProfile {
 /// still turn such a reference into a hit (B and C may share the other
 /// set), so it is a conflict the search can remove.
 [[nodiscard]] ConflictProfile build_conflict_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    int hashed_bits);
-
-/// Streaming variant: a single pass pulled from a TraceSource (the source
-/// is reset first), byte-identical to the in-memory overload. Decoded
-/// trace state stays bounded by the source's batch/chunk size. The
-/// profiling state is a recency window of at most capacity + 1 blocks
-/// plus one last-use stamp per distinct block; nothing grows with trace
-/// length.
-[[nodiscard]] ConflictProfile build_conflict_profile(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    int hashed_bits);
+[[nodiscard]] ConflictProfile build_conflict_profile(
+    const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 }  // namespace xoridx::profile

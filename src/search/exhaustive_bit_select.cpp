@@ -71,7 +71,17 @@ std::uint64_t simulate_selection(std::span<const std::uint64_t> blocks,
                                  std::uint32_t mask, int index_bits,
                                  std::vector<std::uint64_t>& lines) {
   const Pext16 extract(mask);
+  // Every line starts holding a block that can never be referenced into
+  // it, so a first reference always misses — block UINT64_MAX included.
+  // The all-ones block maps to the last set, so that line starts with
+  // block 0 (set 0). A single set has no such block; its first reference
+  // is the trace's first block, so it starts with that block's
+  // complement.
   lines.assign(std::size_t{1} << index_bits, ~std::uint64_t{0});
+  if (index_bits > 0)
+    lines.back() = 0;
+  else if (!blocks.empty())
+    lines[0] = ~blocks.front();
   std::uint64_t misses = 0;
   for (const std::uint64_t block : blocks) {
     const std::uint32_t set = extract(static_cast<std::uint32_t>(block & 0xffffu));
@@ -90,11 +100,23 @@ using gf2::for_each_combination;
 }  // namespace
 
 ExhaustiveBitSelectResult optimal_bit_select(
+    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    int hashed_bits) {
+  std::vector<std::uint64_t> blocks;
+  blocks.reserve(static_cast<std::size_t>(source.size()));
+  const int shift = geometry.offset_bits();
+  source.reset();
+  tracestore::for_each_access(source, [&](const trace::Access& a) {
+    blocks.push_back(a.addr >> shift);
+  });
+  return optimal_bit_select_blocks(blocks, geometry, hashed_bits);
+}
+
+ExhaustiveBitSelectResult optimal_bit_select(
     const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits) {
-  const std::vector<std::uint64_t> blocks =
-      t.block_addresses(geometry.offset_bits());
-  return optimal_bit_select_blocks(blocks, geometry, hashed_bits);
+  tracestore::MemorySource source(t);
+  return optimal_bit_select(source, geometry, hashed_bits);
 }
 
 ExhaustiveBitSelectResult optimal_bit_select_blocks(
@@ -124,8 +146,7 @@ ExhaustiveBitSelectResult optimal_bit_select_blocks(
 
 namespace {
 
-/// The estimator scan shared by both optimal_bit_select_estimated
-/// overloads: pick the selection minimizing the Eq.-4 estimate.
+/// The estimator scan: pick the selection minimizing the Eq.-4 estimate.
 std::pair<hash::BitSelectFunction, std::uint64_t> pick_estimated(
     const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile) {
@@ -156,21 +177,19 @@ std::pair<hash::BitSelectFunction, std::uint64_t> pick_estimated(
 }  // namespace
 
 ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile) {
-  auto [fn, candidates] = pick_estimated(geometry, profile);
-  const cache::CacheStats stats =
-      cache::simulate_direct_mapped(t, geometry, fn);
-  return ExhaustiveBitSelectResult{std::move(fn), stats.misses, candidates};
-}
-
-ExhaustiveBitSelectResult optimal_bit_select_estimated(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile) {
   auto [fn, candidates] = pick_estimated(geometry, profile);
   const cache::CacheStats stats =
       cache::simulate_direct_mapped(source, geometry, fn);
   return ExhaustiveBitSelectResult{std::move(fn), stats.misses, candidates};
+}
+
+ExhaustiveBitSelectResult optimal_bit_select_estimated(
+    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    const profile::ConflictProfile& profile) {
+  tracestore::MemorySource source(t);
+  return optimal_bit_select_estimated(source, geometry, profile);
 }
 
 }  // namespace xoridx::search

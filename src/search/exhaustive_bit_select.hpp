@@ -33,30 +33,33 @@ struct ExhaustiveBitSelectResult {
 
 /// Simulate every m-out-of-n bit selection on the trace and return the one
 /// with the fewest *exact* direct-mapped misses. `hashed_bits` must be at
-/// most 16 (the paper's n).
+/// most 16 (the paper's n). Every candidate re-walks the trace, so block
+/// addresses are extracted once from one source pass (O(trace) uint64s,
+/// rather than C(n, m) decode passes) and handed to
+/// optimal_bit_select_blocks. The trace::Trace overload wraps a zero-copy
+/// MemorySource and forwards.
+[[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select(
+    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    int hashed_bits);
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select(
     const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
-/// Same, over a pre-extracted block-address sequence. The exhaustive
-/// algorithm is inherently multi-pass (every candidate re-walks the
-/// trace), so streaming callers extract blocks once and pay O(trace)
-/// uint64s rather than C(n, m) decode passes.
+/// Same, over a pre-extracted block-address sequence.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_blocks(
     std::span<const std::uint64_t> blocks, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 /// Estimator-guided variant: picks the selection minimizing the Eq.-4
-/// estimate instead of exact misses. Used by the estimator-accuracy
-/// ablation to quantify the profiling heuristic's error in isolation.
-[[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile);
-
-/// Streaming variant: the estimator scan needs only the profile; the one
-/// exact simulation of the winner streams a single pass from the source.
+/// estimate instead of exact misses. The scan needs only the profile; the
+/// one exact simulation of the winner pulls a single pass from the
+/// source. Used by the estimator-accuracy ablation to quantify the
+/// profiling heuristic's error in isolation.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_estimated(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    const profile::ConflictProfile& profile);
+[[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_estimated(
+    const trace::Trace& t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile);
 
 }  // namespace xoridx::search

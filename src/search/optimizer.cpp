@@ -11,9 +11,8 @@
 namespace xoridx::search {
 namespace {
 
-/// The profile-guided part of the pipeline, shared by the in-memory and
-/// streaming overloads: search the requested class for the smallest Eq.-4
-/// estimate. Exact simulation of the winner is the caller's job.
+/// The profile-guided part of the pipeline: search the requested class
+/// for the smallest Eq.-4 estimate.
 OptimizationResult pick_function(const cache::CacheGeometry& geometry,
                                  const profile::ConflictProfile& profile,
                                  const OptimizeOptions& options) {
@@ -53,46 +52,15 @@ OptimizationResult pick_function(const cache::CacheGeometry& geometry,
   return result;
 }
 
-/// Fill in the exact baseline/winner numbers and apply revert_if_worse.
-void finalize(OptimizationResult& result, const cache::CacheStats& base,
-              const cache::CacheStats& opt,
-              const hash::XorFunction& conventional,
-              const OptimizeOptions& options) {
-  result.baseline_misses = base.misses;
-  result.optimized_misses = opt.misses;
-  result.accesses = base.accesses;
-  if (options.revert_if_worse && opt.misses > base.misses) {
-    result.function = conventional.clone();
-    result.optimized_misses = base.misses;
-    result.reverted = true;
-  }
-}
-
 }  // namespace
 
 OptimizationResult optimize_index(const trace::Trace& t,
                                   const cache::CacheGeometry& geometry,
                                   const OptimizeOptions& options) {
+  tracestore::MemorySource source(t);
   const profile::ConflictProfile profile =
-      profile::build_conflict_profile(t, geometry, options.hashed_bits);
-  return optimize_index_with_profile(t, geometry, profile, options);
-}
-
-OptimizationResult optimize_index_with_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile, const OptimizeOptions& options,
-    const cache::CacheStats* known_baseline) {
-  OptimizationResult result = pick_function(geometry, profile, options);
-  const hash::XorFunction conventional = hash::XorFunction::conventional(
-      options.hashed_bits, geometry.index_bits());
-  const cache::CacheStats base =
-      known_baseline ? *known_baseline
-                     : cache::simulate_direct_mapped(t, geometry,
-                                                     conventional);
-  const cache::CacheStats opt =
-      cache::simulate_direct_mapped(t, geometry, *result.function);
-  finalize(result, base, opt, conventional, options);
-  return result;
+      profile::build_conflict_profile(source, geometry, options.hashed_bits);
+  return optimize_index_with_profile(source, geometry, profile, options);
 }
 
 OptimizationResult optimize_index_with_profile(
@@ -108,8 +76,24 @@ OptimizationResult optimize_index_with_profile(
                                                      conventional);
   const cache::CacheStats opt =
       cache::simulate_direct_mapped(source, geometry, *result.function);
-  finalize(result, base, opt, conventional, options);
+  result.baseline_misses = base.misses;
+  result.optimized_misses = opt.misses;
+  result.accesses = base.accesses;
+  if (options.revert_if_worse && opt.misses > base.misses) {
+    result.function = conventional.clone();
+    result.optimized_misses = base.misses;
+    result.reverted = true;
+  }
   return result;
+}
+
+OptimizationResult optimize_index_with_profile(
+    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    const profile::ConflictProfile& profile, const OptimizeOptions& options,
+    const cache::CacheStats* known_baseline) {
+  tracestore::MemorySource source(t);
+  return optimize_index_with_profile(source, geometry, profile, options,
+                                     known_baseline);
 }
 
 }  // namespace xoridx::search

@@ -60,21 +60,18 @@ struct OptimizationResult {
 
 /// Same, reusing a prebuilt profile (the profile depends only on the
 /// geometry and trace, so one profile serves all function classes and
-/// fan-in limits of a Table-2 row). Callers that already simulated the
-/// conventional index for this (trace, geometry) — e.g. the engine's
-/// per-cell baseline cache — pass it as `known_baseline` to skip the
-/// redundant full-trace pass.
-[[nodiscard]] OptimizationResult optimize_index_with_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile, const OptimizeOptions& options,
-    const cache::CacheStats* known_baseline = nullptr);
-
-/// Streaming variant for file-backed traces: the search runs on the
-/// profile alone; the exact baseline and winner re-simulations stream
-/// passes from the source (one pass when `known_baseline` is supplied).
-/// Identical results to the in-memory overload.
+/// fan-in limits of a Table-2 row). The search runs on the profile alone;
+/// the exact baseline and winner re-simulations each pull one pass from
+/// the source. Callers that already simulated the conventional index for
+/// this (trace, geometry) — e.g. the engine's per-cell baseline cache —
+/// pass it as `known_baseline` to skip that pass. The trace::Trace
+/// overload wraps a zero-copy MemorySource and forwards.
 [[nodiscard]] OptimizationResult optimize_index_with_profile(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    const profile::ConflictProfile& profile, const OptimizeOptions& options,
+    const cache::CacheStats* known_baseline = nullptr);
+[[nodiscard]] OptimizationResult optimize_index_with_profile(
+    const trace::Trace& t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile, const OptimizeOptions& options,
     const cache::CacheStats* known_baseline = nullptr);
 

@@ -9,7 +9,6 @@
 
 #include "api/internal.hpp"
 #include "engine/campaign.hpp"
-#include "tracestore/store.hpp"
 #include "tracestore/trace_id.hpp"
 
 namespace xoridx::shard {
@@ -77,23 +76,16 @@ Result<std::vector<TraceMeta>> resolve_traces(
     TraceMeta meta;
     meta.name = ref.name();
     try {
-      engine::TraceEntry entry = ref.lower();
-      if (entry.trace) {
-        meta.id = entry.id.empty() ? tracestore::trace_id_of(*entry.trace)
-                                   : entry.id;
-        meta.accesses = entry.trace->size();
-      } else if (entry.source_factory) {
-        engine::resolve_source_metadata(entry);
-        meta.id = entry.id;
-        meta.accesses = entry.accesses;
-      } else {
-        // File-backed (eager or streaming): header-level metadata only —
-        // partitioning must not load the trace the shards will read.
-        const tracestore::TraceFileInfo info =
-            tracestore::trace_file_info(entry.path);
-        meta.id = info.id;
-        meta.accesses = info.accesses;
-      }
+      // Partitioning reads metadata only: a file ref resolves through its
+      // streamed form, so planning never loads the trace the shards will
+      // read.
+      engine::TraceEntry entry =
+          ref.kind() == api::TraceRef::Kind::file
+              ? api::TraceRef::streaming(ref.name(), ref.path()).lower()
+              : ref.lower();
+      engine::resolve_metadata(entry);
+      meta.id = entry.id;
+      meta.accesses = *entry.accesses;
     } catch (...) {
       return api::internal::status_from_current_exception(
                  StatusCode::io_error)

@@ -1,13 +1,16 @@
 // Pull-based streaming access to a trace.
 //
-// TraceSource is the seam between trace storage and the single-pass
-// consumers (profiling, cache simulation): a consumer repeatedly fills a
-// batch buffer and never learns whether the bytes came from an in-memory
-// Trace, a v1 file or an mmap'd v2 chunk decoder. Multi-pass consumers
-// call reset() between passes; the streaming drivers in cache/simulate and
-// profile/ reset at entry, so one source object serves several passes.
+// TraceSource is the one way every trace consumer (profiling, search,
+// cache simulation, the engine's campaign cells) reads a trace: a
+// consumer pulls views batch by batch and never learns whether the
+// accesses come from an in-memory Trace, a v1 file or an mmap'd v2 chunk
+// decoder. An in-memory trace is just another source (MemorySource),
+// served zero-copy. Multi-pass consumers call reset() between passes; the
+// drivers in cache/simulate and profile/ reset at entry, so one source
+// object serves several passes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -26,6 +29,17 @@ class TraceSource {
   /// the number written; 0 means end of trace.
   virtual std::size_t next_batch(std::span<trace::Access> out) = 0;
 
+  /// The next accesses, in trace order, as a view of at most
+  /// scratch.size() elements; empty means end of trace. The view is
+  /// valid until the next call to next_view, next_batch or reset(). The
+  /// default copies through next_batch into `scratch`; a source that
+  /// already holds decoded accesses returns a window of its own storage
+  /// instead and leaves `scratch` untouched.
+  virtual std::span<const trace::Access> next_view(
+      std::span<trace::Access> scratch) {
+    return scratch.first(next_batch(scratch));
+  }
+
   /// Rewind to the first access.
   virtual void reset() = 0;
 
@@ -33,7 +47,8 @@ class TraceSource {
   [[nodiscard]] virtual std::uint64_t size() const = 0;
 };
 
-/// Adapter over an in-memory Trace; optionally shares ownership.
+/// Adapter over an in-memory Trace; optionally shares ownership. Views
+/// are windows of the Trace's own storage (no copy).
 class MemorySource final : public TraceSource {
  public:
   explicit MemorySource(const trace::Trace& t) : trace_(&t) {}
@@ -41,11 +56,17 @@ class MemorySource final : public TraceSource {
       : owned_(std::move(t)), trace_(owned_.get()) {}
 
   std::size_t next_batch(std::span<trace::Access> out) override {
-    const std::span<const trace::Access> all = trace_->accesses();
-    const std::size_t n = std::min(out.size(), all.size() - pos_);
-    for (std::size_t i = 0; i < n; ++i) out[i] = all[pos_ + i];
-    pos_ += n;
-    return n;
+    const std::span<const trace::Access> view = next_view(out);
+    std::copy(view.begin(), view.end(), out.begin());
+    return view.size();
+  }
+
+  std::span<const trace::Access> next_view(
+      std::span<trace::Access> scratch) override {
+    const std::span<const trace::Access> view = trace_->accesses().subspan(
+        pos_, std::min(scratch.size(), trace_->size() - pos_));
+    pos_ += view.size();
+    return view;
   }
 
   void reset() override { pos_ = 0; }
@@ -59,16 +80,16 @@ class MemorySource final : public TraceSource {
 };
 
 /// Drive `fn(const Access&)` over every access of the source from its
-/// current position, batch by batch. The batch buffer is the only decoded
-/// state this helper adds.
+/// current position, view by view. The scratch buffer is the only
+/// decoded state this helper adds (unused by zero-copy sources).
 template <typename F>
 void for_each_access(TraceSource& source, F&& fn,
                      std::size_t batch_capacity = 4096) {
-  std::vector<trace::Access> buf(batch_capacity);
+  std::vector<trace::Access> scratch(batch_capacity);
   for (;;) {
-    const std::size_t got = source.next_batch(buf);
-    if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) fn(buf[i]);
+    const std::span<const trace::Access> view = source.next_view(scratch);
+    if (view.empty()) break;
+    for (const trace::Access& a : view) fn(a);
   }
 }
 

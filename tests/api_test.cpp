@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -457,29 +458,42 @@ TEST(ExplorerRun, MatchesDirectEngineRun) {
   EXPECT_EQ(api_csv.str(), engine_csv.str());
 }
 
+// Every trace kind lowers to one entry type read through TraceSources;
+// each payload must give the same row whatever backs the trace: memory
+// (zero-copy views), an eager file, a streamed v2 file and a custom
+// factory (here over a v1 file, read through the copying default view).
 TEST(ExplorerRun, StreamingAndEagerFileRefsAgree) {
   const trace::Trace t = small_trace();
   const std::string path = temp_path("xoridx_api_agree.v2");
+  const std::string v1_path = temp_path("xoridx_api_agree.v1");
   tracestore::save_trace_v2(path, t);
+  trace::save_trace(v1_path, t);
 
   ExplorationRequest request;
-  request.traces = {TraceRef::memory("m", t), TraceRef::file("e", path),
-                    TraceRef::streaming("s", path)};
+  request.traces = {
+      TraceRef::memory("m", t), TraceRef::file("e", path),
+      TraceRef::streaming("s", path),
+      TraceRef::source("c", [v1_path] {
+        return std::make_unique<tracestore::V1FileSource>(v1_path);
+      })};
   request.geometries = {GeometrySpec(1024, 4)};
-  request.strategies = parse_strategies("base,perm:2").value();
+  request.strategies =
+      parse_strategies("base,fa,3c,perm,bitselect:exact,bitselect:est")
+          .value();
   const Result<Report> r = Explorer::explore(request);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
-  for (std::size_t s = 0; s < 2; ++s) {
+  for (std::size_t s = 0; s < request.strategies.size(); ++s) {
     const Row& mem = r->at(0, 0, s);
-    const Row& eager = r->at(1, 0, s);
-    const Row& stream = r->at(2, 0, s);
-    EXPECT_EQ(mem.misses, eager.misses);
-    EXPECT_EQ(mem.misses, stream.misses);
-    EXPECT_EQ(mem.function_description, stream.function_description);
+    EXPECT_EQ(mem.accesses, t.size()) << mem.label;
+    for (std::size_t k = 1; k < request.traces.size(); ++k) {
+      Row row = r->at(k, 0, s);
+      row.trace_name = mem.trace_name;
+      EXPECT_EQ(row, mem) << request.traces[k].name() << " " << mem.label;
+    }
   }
-  // All three refs share one content id, so the profile was built once.
+  // All four refs share one content id, so the profile was built once.
   EXPECT_EQ(r->profiles_built, 1u);
-  EXPECT_GE(r->profiles_shared, 2u);
+  EXPECT_GE(r->profiles_shared, 3u);
 }
 
 // ----------------------------------------------- one-shot conveniences
@@ -558,6 +572,26 @@ TEST(OneShot, BuildProfileRejectsBadHashedBits) {
     ASSERT_FALSE(prof.ok()) << "hashed_bits=" << bits;
     EXPECT_EQ(prof.status().code(), StatusCode::invalid_argument);
     EXPECT_NE(prof.status().message().find("hashed_bits"), std::string::npos);
+  }
+}
+
+// simulate builds no 2^n profile, so its bound is an address's width:
+// [1, 64]. Outside it the call fails typed and up front — 65 would
+// otherwise reach a 65-row GF(2) matrix whose row bound is only asserted.
+TEST(OneShot, SimulateRejectsBadHashedBits) {
+  const TraceRef ref = TraceRef::memory("t", small_trace());
+  for (const int bits : {-1, 0, 65}) {
+    const Result<cache::MissBreakdown> sim =
+        simulate(ref, GeometrySpec(1024, 4), nullptr, bits);
+    ASSERT_FALSE(sim.ok()) << "hashed_bits=" << bits;
+    EXPECT_EQ(sim.status().code(), StatusCode::invalid_argument);
+    EXPECT_NE(sim.status().message().find("hashed_bits"), std::string::npos);
+  }
+  for (const int bits : {8, 64}) {
+    const Result<cache::MissBreakdown> sim =
+        simulate(ref, GeometrySpec(1024, 4), nullptr, bits);
+    ASSERT_TRUE(sim.ok()) << "hashed_bits=" << bits;
+    EXPECT_EQ(sim->accesses, small_trace().size());
   }
 }
 

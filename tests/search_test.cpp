@@ -234,6 +234,42 @@ TEST(OptimalBitSelect, BruteForceAgreementTinyCase) {
   EXPECT_EQ(optimal.misses, best);
 }
 
+// The exhaustive sweep keeps its own line array; its reported misses
+// must equal the generic simulator's for the winner even when the trace
+// touches the extreme blocks 0 and UINT64_MAX (1-byte blocks, so block
+// == address), which a sentinel-initialised line could mistake for a
+// resident block.
+TEST(OptimalBitSelect, ExtremeBlocksMatchSimulator) {
+  constexpr std::uint64_t top = ~std::uint64_t{0};
+  const std::vector<std::vector<std::uint64_t>> traces = {
+      {top, 5, top},
+      {0, top, 0, top},
+      {top, 0, top - 1, 3, top, 0, 1},
+      {0, 0, top, top},
+  };
+  // 4 sets (the case that was miscounted), 2 sets and a single set.
+  for (const CacheGeometry geom : {CacheGeometry(4, 1), CacheGeometry(2, 1),
+                                   CacheGeometry(1, 1)}) {
+    for (const std::vector<std::uint64_t>& blocks : traces) {
+      const auto optimal = optimal_bit_select_blocks(blocks, geom, 4);
+      EXPECT_EQ(optimal.misses,
+                cache::simulate_direct_mapped_blocks(blocks, geom,
+                                                     optimal.function)
+                    .misses)
+          << geom.to_string() << " trace of " << blocks.size();
+    }
+  }
+  // The reproduction: select{a0, a1} misses on both references to
+  // UINT64_MAX, and the winner reports exactly that.
+  const std::vector<std::uint64_t> repro = {top, 5, top};
+  const CacheGeometry geom(4, 1);
+  EXPECT_EQ(cache::simulate_direct_mapped_blocks(
+                repro, geom, hash::BitSelectFunction(4, {0, 1}))
+                .misses,
+            2u);
+  EXPECT_EQ(optimal_bit_select_blocks(repro, geom, 4).misses, 2u);
+}
+
 TEST(OptimalBitSelect, EstimatedVariantReturnsValidFunction) {
   const CacheGeometry geom(256, 4);
   const Trace t = trace::random_trace(0, 500, 4, 6000, 18);

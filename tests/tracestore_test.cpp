@@ -3,18 +3,23 @@
 // O(chunk) resident-memory bound on a 10M-access trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/simulate.hpp"
 #include "engine/profile_cache.hpp"
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
+#include "search/exhaustive_bit_select.hpp"
 #include "search/optimizer.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
@@ -359,6 +364,124 @@ TEST(TraceStore, StreamingOptimizeIdenticalToInMemory) {
   EXPECT_EQ(mem.function->describe(), str.function->describe());
   std::remove(path.c_str());
 }
+
+// -------------------------------------------------------- one trace path
+
+/// Overrides only next_batch, so every read goes through the base
+/// class's copying next_view — the shape of a timing or remote wrapper.
+class BatchOnlySource final : public TraceSource {
+ public:
+  explicit BatchOnlySource(std::unique_ptr<TraceSource> inner)
+      : inner_(std::move(inner)) {}
+  std::size_t next_batch(std::span<trace::Access> out) override {
+    return inner_->next_batch(out);
+  }
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::uint64_t size() const override { return inner_->size(); }
+
+ private:
+  std::unique_ptr<TraceSource> inner_;
+};
+
+/// Trace lengths around the 4096-access batch of for_each_access.
+class OneTracePath : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(OneTracePath, EveryDriverAgreesAcrossSources) {
+  const std::size_t n = GetParam();
+  const trace::Trace t = make_trace(n, 100 + n);
+  const std::string path =
+      temp_path("xoridx_one_path_" + std::to_string(n) + ".v2");
+  save_trace_v2(path, t, 1000);  // chunks straddle the batch edges
+  const cache::CacheGeometry geom(256, 4);  // m = 6
+  constexpr int hashed_bits = 12;           // C(12, 6) = 924 selections
+  const hash::XorFunction fn =
+      hash::XorFunction::conventional(hashed_bits, geom.index_bits());
+  search::OptimizeOptions options;
+  options.hashed_bits = hashed_bits;
+  options.search.function_class = search::FunctionClass::permutation;
+
+  // Reference: the in-memory forwarders.
+  const cache::CacheStats dm = cache::simulate_direct_mapped(t, geom, fn);
+  const cache::CacheStats fa = cache::simulate_fully_associative(t, geom);
+  const cache::MissBreakdown cl = cache::classify_misses(t, geom, fn);
+  const profile::ConflictProfile prof =
+      profile::build_conflict_profile(t, geom, hashed_bits);
+  const search::OptimizationResult opt =
+      search::optimize_index_with_profile(t, geom, prof, options);
+  const search::ExhaustiveBitSelectResult exact =
+      search::optimal_bit_select(t, geom, hashed_bits);
+  const search::ExhaustiveBitSelectResult est =
+      search::optimal_bit_select_estimated(t, geom, prof);
+  EXPECT_EQ(dm.accesses, n);
+  EXPECT_EQ(prof.references, n);
+
+  std::vector<std::pair<std::string, std::unique_ptr<TraceSource>>> sources;
+  sources.emplace_back("memory", std::make_unique<MemorySource>(t));
+  sources.emplace_back(
+      "batch-only",
+      std::make_unique<BatchOnlySource>(std::make_unique<MemorySource>(t)));
+  sources.emplace_back("mmap-v2", std::make_unique<MmapTraceReader>(path));
+  for (auto& [name, source] : sources) {
+    SCOPED_TRACE(name);
+    const cache::CacheStats s_dm =
+        cache::simulate_direct_mapped(*source, geom, fn);
+    EXPECT_EQ(s_dm.accesses, dm.accesses);
+    EXPECT_EQ(s_dm.misses, dm.misses);
+    const cache::CacheStats s_fa =
+        cache::simulate_fully_associative(*source, geom);
+    EXPECT_EQ(s_fa.accesses, fa.accesses);
+    EXPECT_EQ(s_fa.misses, fa.misses);
+    EXPECT_EQ(cache::classify_misses(*source, geom, fn), cl);
+    const profile::ConflictProfile s_prof =
+        profile::build_conflict_profile(*source, geom, hashed_bits);
+    EXPECT_EQ(s_prof, prof);
+    const search::OptimizationResult s_opt =
+        search::optimize_index_with_profile(*source, geom, s_prof, options);
+    EXPECT_EQ(s_opt.accesses, opt.accesses);
+    EXPECT_EQ(s_opt.baseline_misses, opt.baseline_misses);
+    EXPECT_EQ(s_opt.optimized_misses, opt.optimized_misses);
+    EXPECT_EQ(s_opt.estimated_misses, opt.estimated_misses);
+    EXPECT_EQ(s_opt.function->describe(), opt.function->describe());
+    const search::ExhaustiveBitSelectResult s_exact =
+        search::optimal_bit_select(*source, geom, hashed_bits);
+    EXPECT_EQ(s_exact.misses, exact.misses);
+    EXPECT_EQ(s_exact.candidates, exact.candidates);
+    EXPECT_EQ(s_exact.function.describe(), exact.function.describe());
+    const search::ExhaustiveBitSelectResult s_est =
+        search::optimal_bit_select_estimated(*source, geom, s_prof);
+    EXPECT_EQ(s_est.misses, est.misses);
+    EXPECT_EQ(s_est.function.describe(), est.function.describe());
+
+    // reset() mid-trace rewinds next_view, and no view outgrows the
+    // scratch span it was given.
+    std::vector<trace::Access> scratch(7);
+    source->reset();
+    EXPECT_EQ(source->next_view(scratch).size(), std::min<std::size_t>(7, n));
+    (void)source->next_view(scratch);
+    source->reset();
+    std::vector<trace::Access> seen;
+    for (;;) {
+      const std::span<const trace::Access> view = source->next_view(scratch);
+      ASSERT_LE(view.size(), scratch.size());
+      if (view.empty()) break;
+      seen.insert(seen.end(), view.begin(), view.end());
+    }
+    EXPECT_EQ(trace::Trace(std::move(seen)), t);
+  }
+
+  // The in-memory source serves windows of the trace's own storage.
+  if (n > 0) {
+    MemorySource memory(t);
+    std::vector<trace::Access> scratch(4096);
+    EXPECT_EQ(memory.next_view(scratch).data(), t.accesses().data());
+    EXPECT_EQ(memory.next_view(scratch).data(),
+              t.accesses().data() + std::min<std::size_t>(4096, n));
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchEdges, OneTracePath,
+                         ::testing::Values(0, 1, 4095, 4096, 4097));
 
 // ----------------------------------------------------- ProfileCache keying
 

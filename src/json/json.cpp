@@ -1,11 +1,9 @@
-#include "serve/json.hpp"
+#include "json/json.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
-namespace xoridx::serve {
+namespace xoridx::json {
 
 namespace {
 
@@ -17,9 +15,9 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Result<JsonValue> run() {
+  Result<Value> run() {
     skip_ws();
-    JsonValue value;
+    Value value;
     if (Status s = parse_value(value, 0); !s.ok()) return s;
     skip_ws();
     if (pos_ != text_.size())
@@ -50,7 +48,7 @@ class Parser {
     return false;
   }
 
-  Status parse_value(JsonValue& out, int depth) {
+  Status parse_value(Value& out, int depth) {
     if (depth > max_depth) return fail("nesting too deep");
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
@@ -61,27 +59,27 @@ class Parser {
       case '"': {
         std::string s;
         if (Status st = parse_string(s); !st.ok()) return st;
-        out = JsonValue(std::move(s));
+        out = Value(std::move(s));
         return {};
       }
       case 't':
         if (text_.substr(pos_, 4) == "true") {
           pos_ += 4;
-          out = JsonValue(true);
+          out = Value(true);
           return {};
         }
         return fail("invalid literal");
       case 'f':
         if (text_.substr(pos_, 5) == "false") {
           pos_ += 5;
-          out = JsonValue(false);
+          out = Value(false);
           return {};
         }
         return fail("invalid literal");
       case 'n':
         if (text_.substr(pos_, 4) == "null") {
           pos_ += 4;
-          out = JsonValue();
+          out = Value();
           return {};
         }
         return fail("invalid literal");
@@ -90,9 +88,9 @@ class Parser {
     }
   }
 
-  Status parse_object(JsonValue& out, int depth) {
+  Status parse_object(Value& out, int depth) {
     ++pos_;  // '{'
-    out = JsonValue::object();
+    out = Value::object();
     skip_ws();
     if (eat('}')) return {};
     while (true) {
@@ -106,7 +104,7 @@ class Parser {
       skip_ws();
       if (!eat(':')) return fail("expected ':' after object key");
       skip_ws();
-      JsonValue value;
+      Value value;
       if (Status st = parse_value(value, depth + 1); !st.ok()) return st;
       out.set(std::move(key), std::move(value));
       skip_ws();
@@ -115,14 +113,14 @@ class Parser {
     }
   }
 
-  Status parse_array(JsonValue& out, int depth) {
+  Status parse_array(Value& out, int depth) {
     ++pos_;  // '['
-    out = JsonValue::array();
+    out = Value::array();
     skip_ws();
     if (eat(']')) return {};
     while (true) {
       skip_ws();
-      JsonValue value;
+      Value value;
       if (Status st = parse_value(value, depth + 1); !st.ok()) return st;
       out.push_back(std::move(value));
       skip_ws();
@@ -222,44 +220,45 @@ class Parser {
     }
   }
 
-  Status parse_number(JsonValue& out) {
+  [[nodiscard]] bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  Status parse_number(Value& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    if (!at_digit()) return fail("invalid number");
+    if (text_[pos_++] == '0' && at_digit())
+      return fail("leading zero in number");
+    while (at_digit()) ++pos_;
     bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    if (eat('.')) {
       integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!at_digit()) return fail("expected a digit after '.'");
+      while (at_digit()) ++pos_;
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (eat('e') || eat('E')) {
       integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!eat('+')) (void)eat('-');
+      if (!at_digit()) return fail("expected a digit in the exponent");
+      while (at_digit()) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-")
-      return fail("invalid number");
-    errno = 0;
-    char* end = nullptr;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    std::from_chars_result parsed;
     if (integral) {
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno != 0 || end == nullptr || *end != '\0')
-        return fail("invalid number");
-      out = JsonValue(static_cast<std::int64_t>(v));
+      std::int64_t v = 0;
+      parsed = std::from_chars(first, last, v);
+      out = Value(v);
     } else {
-      const double v = std::strtod(token.c_str(), &end);
-      if (errno != 0 || end == nullptr || *end != '\0' || !std::isfinite(v))
-        return fail("invalid number");
-      out = JsonValue(v);
+      double v = 0.0;
+      parsed = std::from_chars(first, last, v);
+      out = Value(v);
+    }
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+      pos_ = start;
+      return fail("number out of range");
     }
     return {};
   }
@@ -268,17 +267,9 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind_ != Kind::object) return nullptr;
-  for (const Member& m : members_)
-    if (m.first == key) return &m.second;
-  return nullptr;
-}
-
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
+void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char hex[] = "0123456789abcdef";
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -288,62 +279,98 @@ std::string json_quote(std::string_view s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xf];
+          out += hex[c & 0xf];
         } else {
           out += c;
         }
     }
   }
   out += '"';
+}
+
+}  // namespace
+
+const Value* Value::find(std::string_view key) const {
+  for (const Member& m : members())
+    if (m.first == key) return &m.second;
+  return nullptr;
+}
+
+// Out of line: inlined into callers, gcc 12 reports the move of a
+// variant holding a vector as a maybe-uninitialized read.
+void Value::push_back(Value v) {
+  std::get<Items>(data_).push_back(std::move(v));
+}
+
+void Value::set(std::string key, Value v) {
+  std::get<Members>(data_).emplace_back(std::move(key), std::move(v));
+}
+
+std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 
-std::string JsonValue::serialize() const {
-  switch (kind_) {
+std::string Value::serialize() const {
+  std::string out;
+  serialize_to(out);
+  return out;
+}
+
+void Value::serialize_to(std::string& out) const {
+  switch (kind()) {
     case Kind::null:
-      return "null";
+      out += "null";
+      return;
     case Kind::boolean:
-      return bool_ ? "true" : "false";
+      out += std::get<bool>(data_) ? "true" : "false";
+      return;
     case Kind::integer:
-      return std::to_string(int_);
+      out += std::to_string(std::get<std::int64_t>(data_));
+      return;
     case Kind::number: {
       // Shortest round-trippable form; never NaN/Inf (rejected on parse,
       // never produced by the protocol builders).
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", num_);
-      return buf;
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                    std::get<double>(data_))
+                          .ptr);
+      return;
     }
     case Kind::string:
-      return json_quote(str_);
+      append_quoted(out, std::get<std::string>(data_));
+      return;
     case Kind::array: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
+      const Items& items = std::get<Items>(data_);
+      out += '[';
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i != 0) out += ',';
-        out += items_[i].serialize();
+        items[i].serialize_to(out);
       }
       out += ']';
-      return out;
+      return;
     }
     case Kind::object: {
-      std::string out = "{";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
+      const Members& members = std::get<Members>(data_);
+      out += '{';
+      for (std::size_t i = 0; i < members.size(); ++i) {
         if (i != 0) out += ',';
-        out += json_quote(members_[i].first);
+        append_quoted(out, members[i].first);
         out += ':';
-        out += members_[i].second.serialize();
+        members[i].second.serialize_to(out);
       }
       out += '}';
-      return out;
+      return;
     }
   }
-  return "null";
 }
 
-api::Result<JsonValue> parse_json(std::string_view text) {
+api::Result<Value> parse(std::string_view text) {
   return Parser(text).run();
 }
 
-}  // namespace xoridx::serve
+}  // namespace xoridx::json

@@ -31,9 +31,15 @@ namespace xoridx::obs {
 /// input: input i's events are re-labeled pid=i (1-based), so N shards
 /// that all reported pid 1 — or recycled OS pids — still land on N
 /// distinct tracks. Inputs without a process_name metadata event get one
-/// synthesized from their file name. Fails with a Status naming the file
-/// on unreadable input or input that does not look like a trace-event
-/// document (no traceEvents array, unbalanced JSON).
+/// synthesized from their file name. Every input is parsed with
+/// json::parse before anything is written; on failure `os` is untouched
+/// and the Status names the file: not_found or io_error when it cannot
+/// be read, io_error when it is not a trace-event document (malformed
+/// JSON, with the parser's byte offset; no top-level traceEvents array;
+/// an event that is not an object). Events are re-serialized compactly.
+/// Each input is read twice (validate, then stream), so peak memory is
+/// one input's text and parse tree, about 6x its file size; a file that
+/// changes between the two reads can still fail after output began.
 [[nodiscard]] api::Status merge_chrome_traces(
     const std::vector<std::string>& input_paths, std::ostream& os);
 

@@ -20,25 +20,25 @@ Status bad_request(const std::string& what) {
 }
 
 /// Positive integral field, or `fallback` when absent.
-Result<std::int64_t> int_field(const JsonValue& obj, const char* key,
+Result<std::int64_t> int_field(const json::Value& obj, const char* key,
                                std::int64_t fallback) {
-  const JsonValue* v = obj.find(key);
+  const json::Value* v = obj.find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->kind() != JsonValue::Kind::integer)
+  if (!v->is_number() || v->kind() != json::Value::Kind::integer)
     return bad_request(std::string("\"") + key + "\" must be an integer");
   return v->as_int();
 }
 
-Result<api::TraceRef> parse_trace_spec(const JsonValue& spec) {
+Result<api::TraceRef> parse_trace_spec(const json::Value& spec) {
   if (!spec.is_object())
     return bad_request("each \"traces\" entry must be an object");
-  const JsonValue* workload = spec.find("workload");
-  const JsonValue* path = spec.find("path");
+  const json::Value* workload = spec.find("workload");
+  const json::Value* path = spec.find("path");
   if ((workload != nullptr) == (path != nullptr))
     return bad_request(
         "a trace spec names exactly one of \"workload\" or \"path\"");
 
-  const JsonValue* name = spec.find("name");
+  const json::Value* name = spec.find("name");
   if (name != nullptr && !name->is_string())
     return bad_request("trace \"name\" must be a string");
 
@@ -46,7 +46,7 @@ Result<api::TraceRef> parse_trace_spec(const JsonValue& spec) {
     if (!workload->is_string())
       return bad_request("\"workload\" must be a registry workload name");
     workloads::Scale scale = workloads::Scale::full;
-    if (const JsonValue* s = spec.find("scale"); s != nullptr) {
+    if (const json::Value* s = spec.find("scale"); s != nullptr) {
       if (!s->is_string() ||
           (s->as_string() != "small" && s->as_string() != "full"))
         return bad_request("\"scale\" must be \"small\" or \"full\"");
@@ -66,7 +66,7 @@ Result<api::TraceRef> parse_trace_spec(const JsonValue& spec) {
   if (!path->is_string())
     return bad_request("trace \"path\" must be a string");
   bool mmap = false;
-  if (const JsonValue* m = spec.find("mmap"); m != nullptr) {
+  if (const json::Value* m = spec.find("mmap"); m != nullptr) {
     if (!m->is_bool()) return bad_request("\"mmap\" must be a boolean");
     mmap = m->as_bool();
   }
@@ -76,20 +76,20 @@ Result<api::TraceRef> parse_trace_spec(const JsonValue& spec) {
               : api::TraceRef::file(display, path->as_string());
 }
 
-Result<api::ExplorationRequest> parse_explore(const JsonValue& obj) {
+Result<api::ExplorationRequest> parse_explore(const json::Value& obj) {
   api::ExplorationRequest request;
 
-  const JsonValue* traces = obj.find("traces");
+  const json::Value* traces = obj.find("traces");
   if (traces == nullptr || !traces->is_array())
     return bad_request("\"traces\" must be an array of trace specs");
-  for (const JsonValue& spec : traces->items()) {
+  for (const json::Value& spec : traces->items()) {
     Result<api::TraceRef> ref = parse_trace_spec(spec);
     if (!ref.ok()) return ref.status();
     request.traces.push_back(std::move(*ref));
   }
 
-  const JsonValue* caches = obj.find("caches");
-  const JsonValue* geometries = obj.find("geometries");
+  const json::Value* caches = obj.find("caches");
+  const json::Value* geometries = obj.find("geometries");
   if ((caches != nullptr) == (geometries != nullptr))
     return bad_request(
         "exactly one of \"caches\" (sizes, 4 B direct-mapped) or "
@@ -97,7 +97,7 @@ Result<api::ExplorationRequest> parse_explore(const JsonValue& obj) {
   if (caches != nullptr) {
     if (!caches->is_array())
       return bad_request("\"caches\" must be an array of byte sizes");
-    for (const JsonValue& size : caches->items()) {
+    for (const json::Value& size : caches->items()) {
       if (!size.is_number() || size.as_int() <= 0)
         return bad_request("\"caches\" entries must be positive integers");
       request.geometries.emplace_back(
@@ -106,7 +106,7 @@ Result<api::ExplorationRequest> parse_explore(const JsonValue& obj) {
   } else {
     if (!geometries->is_array())
       return bad_request("\"geometries\" must be an array of objects");
-    for (const JsonValue& g : geometries->items()) {
+    for (const json::Value& g : geometries->items()) {
       if (!g.is_object())
         return bad_request("each \"geometries\" entry must be an object");
       Result<std::int64_t> size = int_field(g, "size", 0);
@@ -123,10 +123,10 @@ Result<api::ExplorationRequest> parse_explore(const JsonValue& obj) {
     }
   }
 
-  const JsonValue* strategies = obj.find("strategies");
+  const json::Value* strategies = obj.find("strategies");
   if (strategies == nullptr || !strategies->is_array())
     return bad_request("\"strategies\" must be an array of spec strings");
-  for (const JsonValue& spec : strategies->items()) {
+  for (const json::Value& spec : strategies->items()) {
     if (!spec.is_string())
       return bad_request("\"strategies\" entries must be spec strings");
     Result<api::Strategy> strategy = api::parse_strategy(spec.as_string());
@@ -147,12 +147,12 @@ Result<api::ExplorationRequest> parse_explore(const JsonValue& obj) {
 }  // namespace
 
 api::Result<Command> parse_command(const std::string& line) {
-  Result<JsonValue> parsed = parse_json(line);
+  Result<json::Value> parsed = json::parse(line);
   if (!parsed.ok()) return parsed.status();
-  const JsonValue& obj = *parsed;
+  const json::Value& obj = *parsed;
   if (!obj.is_object())
     return bad_request("a command is a JSON object");
-  const JsonValue* cmd = obj.find("cmd");
+  const json::Value* cmd = obj.find("cmd");
   if (cmd == nullptr || !cmd->is_string())
     return bad_request("\"cmd\" must name a command");
 
@@ -171,7 +171,7 @@ api::Result<Command> parse_command(const std::string& line) {
     return command;
   }
   if (kind == "explore" || kind == "cancel") {
-    const JsonValue* id = obj.find("id");
+    const json::Value* id = obj.find("id");
     if (id == nullptr || !id->is_string() || id->as_string().empty())
       return bad_request("\"id\" must be a non-empty string");
     command.id = id->as_string();
@@ -188,8 +188,8 @@ api::Result<Command> parse_command(const std::string& line) {
   return bad_request("unknown command \"" + kind + "\"");
 }
 
-JsonValue status_to_json(const api::Status& status) {
-  JsonValue out = JsonValue::object();
+json::Value status_to_json(const api::Status& status) {
+  json::Value out = json::Value::object();
   out.set("code", api::status_code_name(status.code()));
   out.set("message", status.message());
   if (!status.trace().empty()) out.set("trace", status.trace());
@@ -199,7 +199,7 @@ JsonValue status_to_json(const api::Status& status) {
 }
 
 std::string accepted_event(const std::string& id, std::size_t jobs) {
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "accepted");
   out.set("id", id);
   out.set("jobs", static_cast<std::int64_t>(jobs));
@@ -208,7 +208,7 @@ std::string accepted_event(const std::string& id, std::size_t jobs) {
 }
 
 std::string cell_event(const std::string& id, const CellEvent& cell) {
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "cell");
   out.set("id", id);
   out.set("index", static_cast<std::int64_t>(cell.index));
@@ -230,7 +230,7 @@ std::string cell_event(const std::string& id, const CellEvent& cell) {
 
 std::string done_event(const std::string& id,
                        const RequestSummary& summary) {
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "done");
   out.set("id", id);
   out.set("cells", static_cast<std::int64_t>(summary.cells));
@@ -245,7 +245,7 @@ std::string done_event(const std::string& id,
 }
 
 std::string error_event(const std::string& id, const api::Status& status) {
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "error");
   if (!id.empty()) out.set("id", id);
   out.set("error", status_to_json(status));
@@ -253,7 +253,7 @@ std::string error_event(const std::string& id, const api::Status& status) {
 }
 
 std::string status_event(const ServiceStatus& status) {
-  JsonValue body = JsonValue::object();
+  json::Value body = json::Value::object();
   body.set("inflight", static_cast<std::int64_t>(status.inflight));
   body.set("queued", static_cast<std::int64_t>(status.queued));
   body.set("accepted", static_cast<std::int64_t>(status.accepted));
@@ -261,7 +261,7 @@ std::string status_event(const ServiceStatus& status) {
   body.set("rejected", static_cast<std::int64_t>(status.rejected));
   body.set("memo_hits", static_cast<std::int64_t>(status.memo_hits));
   body.set("memo_entries", static_cast<std::int64_t>(status.memo_entries));
-  JsonValue cache = JsonValue::object();
+  json::Value cache = json::Value::object();
   cache.set("entries",
             static_cast<std::int64_t>(status.profile_cache_entries));
   cache.set("bytes", static_cast<std::int64_t>(status.profile_cache_bytes));
@@ -275,14 +275,14 @@ std::string status_event(const ServiceStatus& status) {
            static_cast<std::int64_t>(status.queue_capacity));
   body.set("engine_threads",
            static_cast<std::int64_t>(status.engine_threads));
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "status");
   out.set("status", std::move(body));
   return out.serialize();
 }
 
 std::string metrics_event(const std::string& openmetrics) {
-  JsonValue out = JsonValue::object();
+  json::Value out = json::Value::object();
   out.set("event", "metrics");
   out.set("content_type", "application/openmetrics-text");
   out.set("body", openmetrics);

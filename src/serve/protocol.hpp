@@ -41,7 +41,7 @@
 
 #include "api/explorer.hpp"
 #include "api/status.hpp"
-#include "serve/json.hpp"
+#include "json/json.hpp"
 #include "serve/service.hpp"
 
 namespace xoridx::serve {
@@ -77,6 +77,6 @@ struct Command {
 
 /// {"code":"...","message":"...", + cell context when known} — shared by
 /// error_event and failed-cell events.
-[[nodiscard]] JsonValue status_to_json(const api::Status& status);
+[[nodiscard]] json::Value status_to_json(const api::Status& status);
 
 }  // namespace xoridx::serve

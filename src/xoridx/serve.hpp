@@ -20,10 +20,25 @@
 //   Server / ServerOptions     the TCP transport: accept loop, one
 //                              reader per connection, signal-safe
 //                              request_stop() for graceful shutdown
-//   JsonValue / parse_json     the dependency-free JSON these speak
+//   JsonValue / parse_json     aliases of json::Value / json::parse
+//                              (json/json.hpp): the repo's one JSON
+//                              codec, which reads and writes the
+//                              protocol's frames
 #pragma once
 
-#include "serve/json.hpp"      // IWYU pragma: export
+#include <string_view>
+
+#include "json/json.hpp"       // IWYU pragma: export
 #include "serve/protocol.hpp"  // IWYU pragma: export
 #include "serve/server.hpp"    // IWYU pragma: export
 #include "serve/service.hpp"   // IWYU pragma: export
+
+namespace xoridx::serve {
+
+using JsonValue = json::Value;
+
+[[nodiscard]] inline api::Result<JsonValue> parse_json(std::string_view text) {
+  return json::parse(text);
+}
+
+}  // namespace xoridx::serve

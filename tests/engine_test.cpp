@@ -357,7 +357,7 @@ TEST(Campaign, ProfilePreludeFailureNamesTheCell) {
 
 TEST(Sinks, JsonEscapesStrings) {
   JobResult r;
-  r.trace_name = "quote\" backslash\\ newline\n";
+  r.trace_name = "quote\" backslash\\ newline\n return\r";
   r.geometry = CacheGeometry(1024, 4);
   r.label = "l";
   r.kind = "evaluate";
@@ -367,7 +367,7 @@ TEST(Sinks, JsonEscapesStrings) {
   sink.write(r);
   sink.end();
   const std::string out = os.str();
-  EXPECT_NE(out.find("quote\\\" backslash\\\\ newline\\n"),
+  EXPECT_NE(out.find("quote\\\" backslash\\\\ newline\\n return\\r"),
             std::string::npos);
   EXPECT_EQ(out.front(), '[');
   EXPECT_EQ(out[out.size() - 2], ']');

@@ -1,7 +1,7 @@
 // Observability tests: cross-thread counter/gauge/histogram aggregation,
 // snapshot monotonicity under concurrent recording, registry reset and
-// over-capacity behaviour, span JSON well-formedness (checked with a
-// minimal JSON parser), the SearchStats::evaluations reconciliation
+// over-capacity behaviour, span JSON well-formedness (checked with the
+// product parser, json::parse), the SearchStats::evaluations reconciliation
 // convention, the ProgressReporter surface, and the determinism
 // differentials: Explorer CSV and shard report bytes are identical with
 // instrumentation recording (metrics + tracing + a live reporter — the
@@ -23,17 +23,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "cache/simulate.hpp"
 #include "hash/xor_function.hpp"
+#include "json/json.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
@@ -46,122 +47,13 @@
 namespace xoridx::obs {
 namespace {
 
-// ----------------------------------------------- minimal JSON validator
-//
-// Enough of RFC 8259 to reject what Perfetto or python json.load would
-// reject: balanced structure, quoted keys, legal escapes, legal number
-// syntax, nothing trailing the document.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
-
-  [[nodiscard]] bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : 0; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!consume('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i)
-            if (pos_ >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[pos_++])))
-              return false;
-        } else if (std::string_view("\"\\/bfnrt").find(esc) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    consume('-');
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (consume('.')) {
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return true;
-  }
-
-  bool members(char close, bool with_keys) {
-    skip_ws();
-    if (consume(close)) return true;
-    for (;;) {
-      skip_ws();
-      if (with_keys) {
-        if (!string()) return false;
-        skip_ws();
-        if (!consume(':')) return false;
-        skip_ws();
-      }
-      if (!value()) return false;
-      skip_ws();
-      if (consume(close)) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool value() {
-    switch (peek()) {
-      case '{':
-        ++pos_;
-        return members('}', /*with_keys=*/true);
-      case '[':
-        ++pos_;
-        return members(']', /*with_keys=*/false);
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+/// Well-formed per the product parser, which is RFC 8259-strict.
+::testing::AssertionResult well_formed(const std::string& text) {
+  const api::Result<json::Value> parsed = json::parse(text);
+  if (parsed.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << parsed.status().to_string() << "\n" << text;
+}
 
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
@@ -329,7 +221,7 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   std::ostringstream os;
   reg.snapshot().write_json(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"xoridx\""), std::string::npos);
 }
@@ -352,7 +244,7 @@ TEST(Span, ChromeTraceJsonIsWellFormedAndEscaped) {
   std::ostringstream os;
   write_chrome_trace(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   // One complete event per span, on two distinct tids.
@@ -370,7 +262,7 @@ TEST(Span, RecordsNothingWhenTracingDisabled) {
   std::ostringstream os;
   write_chrome_trace(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"X\""), 0u);
 }
 
@@ -581,8 +473,8 @@ TEST(Differential, ExplorerCsvBytesIdenticalWithObsOnAndOff) {
   std::ostringstream metrics_json, trace_json;
   registry().snapshot().write_json(metrics_json);
   write_chrome_trace(trace_json);
-  EXPECT_TRUE(JsonChecker(metrics_json.str()).valid());
-  EXPECT_TRUE(JsonChecker(trace_json.str()).valid());
+  EXPECT_TRUE(well_formed(metrics_json.str()));
+  EXPECT_TRUE(well_formed(trace_json.str()));
   clear_spans();
 
   // Arm 2: recording disabled — the runtime stand-in for XORIDX_OBS=OFF.
@@ -790,18 +682,32 @@ TEST(TraceMerge, RemapsPidsAndSynthesizesProcessNames) {
   ASSERT_TRUE(merged_status.ok()) << merged_status.to_string();
   const std::string merged = os.str();
 
-  EXPECT_TRUE(JsonChecker(merged).valid()) << merged;
+  const api::Result<json::Value> doc = json::parse(merged);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string() << "\n" << merged;
+  const json::Value* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr) << merged;
   // A's events land on track 1, B's on track 2; original pids are gone.
-  EXPECT_EQ(count_occurrences(merged, "\"pid\": 1"), 2u) << merged;
-  EXPECT_EQ(count_occurrences(merged, "\"pid\": 2"), 2u) << merged;
+  std::map<std::int64_t, int> events_per_pid;
+  std::vector<std::string> track_names;
+  std::vector<std::string> slice_names;
+  for (const json::Value& event : events->items()) {
+    ASSERT_NE(event.find("pid"), nullptr) << event.serialize();
+    ++events_per_pid[event.find("pid")->as_int()];
+    if (event.find("name")->as_string() == "process_name")
+      track_names.push_back(event.find("args")->find("name")->as_string());
+    else
+      slice_names.push_back(event.find("name")->as_string());
+  }
+  EXPECT_EQ(events_per_pid, (std::map<std::int64_t, int>{{1, 2}, {2, 2}}))
+      << merged;
   EXPECT_EQ(count_occurrences(merged, "4242"), 0u) << merged;
   // A keeps its own track name; B gets one synthesized from its file.
-  EXPECT_EQ(count_occurrences(merged, "process_name"), 2u) << merged;
-  EXPECT_NE(merged.find("shard 1/2"), std::string::npos) << merged;
-  EXPECT_NE(merged.find("xoridx_trace_b.json"), std::string::npos)
+  EXPECT_EQ(track_names, (std::vector<std::string>{"shard 1/2",
+                                                   "xoridx_trace_b.json"}))
       << merged;
   // B's events and strings survive intact.
-  EXPECT_NE(merged.find("b \\\"quoted\\\" {brace"), std::string::npos)
+  EXPECT_EQ(slice_names,
+            (std::vector<std::string>{"slice", "b \"quoted\" {brace"}))
       << merged;
 }
 
@@ -827,6 +733,29 @@ TEST(TraceMerge, ErrorsNameTheOffendingFile) {
   EXPECT_EQ(malformed.code(), api::StatusCode::io_error);
   EXPECT_NE(malformed.message().find("traceEvents"), std::string::npos);
   EXPECT_NE(malformed.message().find(bad_path), std::string::npos);
+
+  // A well-formed first file and a second whose event body is not JSON:
+  // the merge fails naming the second file and the parser's byte offset,
+  // and writes nothing at all.
+  const std::string good_path =
+      (std::filesystem::temp_directory_path() / "xoridx_trace_good.json")
+          .string();
+  {
+    std::ofstream good(good_path);
+    good << "{\"traceEvents\": [{\"name\": \"s\", \"ph\": \"X\", "
+            "\"ts\": 1, \"dur\": 2, \"pid\": 1, \"tid\": 1}]}";
+    std::ofstream bad(bad_path);
+    bad << R"({"traceEvents":[{"ts":tru,"dur":1e,"tid":[1,}]})";
+  }
+  std::ostringstream untouched;
+  const api::Status body = merge_chrome_traces({good_path, bad_path},
+                                               untouched);
+  EXPECT_EQ(body.code(), api::StatusCode::io_error);
+  EXPECT_NE(body.message().find(bad_path), std::string::npos)
+      << body.message();
+  EXPECT_NE(body.message().find("at byte 22"), std::string::npos)
+      << body.message();
+  EXPECT_EQ(untouched.str(), "");
 }
 
 // ------------------------------------------------------ flight recorder

@@ -603,44 +603,6 @@ TEST(ShardCancellation, FiredTokenFlushesCancelMarkedReport) {
   EXPECT_EQ(report->error_count(), report->cells.size());
 }
 
-// ------------------------------------------------------------- JSON
-
-TEST(Json, ParsesAndSerializesRoundTrip) {
-  const std::string text =
-      R"({"a":1,"b":-2.5,"c":"x\n\"y\"","d":[true,false,null],"e":{}})";
-  const auto parsed = serve::parse_json(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->find("a")->as_int(), 1);
-  EXPECT_DOUBLE_EQ(parsed->find("b")->as_double(), -2.5);
-  EXPECT_EQ(parsed->find("c")->as_string(), "x\n\"y\"");
-  EXPECT_EQ(parsed->find("d")->items().size(), 3u);
-  EXPECT_EQ(parsed->serialize(), text);
-}
-
-TEST(Json, ParsesUnicodeEscapesIncludingSurrogatePairs) {
-  const auto parsed = serve::parse_json(R"("\u0041\u00e9\ud83d\ude00")");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->as_string(), "A\xC3\xA9\xF0\x9F\x98\x80");
-}
-
-TEST(Json, RejectsMalformedInputWithByteOffsets) {
-  for (const char* bad :
-       {"{", "[1,]", "{\"a\":1,\"a\":2}", "tru", "1.2.3", "\"unterminated",
-        "{\"a\"}", "[1] trailing", "\"\\u12\"", "\"\\ud800\""}) {
-    const auto parsed = serve::parse_json(bad);
-    EXPECT_FALSE(parsed.ok()) << bad;
-    EXPECT_EQ(parsed.status().code(), api::StatusCode::parse_error) << bad;
-  }
-}
-
-TEST(Json, NeverEmitsRawNewlines) {
-  serve::JsonValue obj = serve::JsonValue::object();
-  obj.set("text", std::string("line1\nline2\r\ttab"));
-  const std::string wire = obj.serialize();
-  EXPECT_EQ(wire.find('\n'), std::string::npos);
-  EXPECT_EQ(wire, R"({"text":"line1\nline2\r\ttab"})");
-}
-
 // ---------------------------------------------------------- protocol
 
 TEST(Protocol, ParsesExploreCommandWithWorkloadTraces) {
